@@ -7,10 +7,11 @@ Exit codes: 0 success (verify: equivalent), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from .eliminate import TransformResult, eliminate_delays
+from .eliminate import TransformResult, UnsupportedDelayedRule, eliminate_delays
 from .equivalence import co_simulate
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
@@ -44,12 +45,7 @@ def _cmd_sim(args) -> int:
 
 
 def _accounting(result: TransformResult) -> list[str]:
-    delays = [
-        rule.delay
-        for neuron in result.normalized_source.neurons
-        for rule in neuron.rules
-        if rule.delayed
-    ]
+    delays = result.delays
     lines = [
         f"delayed neurons: {len(delays)} (delays: {', '.join(map(str, delays)) or 'none'})",
         f"feeder neurons added: {len(result.feeders)}",
@@ -182,11 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` runs many times in one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, ValueError, OSError) as err:
+    except (ParseError, ValidationError, UnsupportedDelayedRule, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except NondeterministicChoice as err:

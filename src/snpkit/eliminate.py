@@ -117,6 +117,17 @@ class TransformResult:
     added_count: int
     hazards: tuple[str, ...] = ()
 
+    @property
+    def delays(self) -> list[int]:
+        """Delays of the eliminated rules, in the normalized source's order;
+        their sum is the neuron growth net of feeders (the count law)."""
+        return [
+            rule.delay
+            for neuron in self.normalized_source.neurons
+            for rule in neuron.rules
+            if rule.delayed
+        ]
+
 
 def _delayed_rule(neuron: Neuron) -> Rule | None:
     """The neuron's delayed rule, checked for the supported shape."""
@@ -215,9 +226,6 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     BatchOverlapWarning when the conservative static check cannot rule out
     spikes arriving at a closed neuron (where source and target may part).
     """
-    issues = validate(system)
-    if issues:
-        raise ValidationError(issues)
     normalized, feeder_ids = normalize_initial(system)
 
     plans: dict[str, GadgetPlan] = {}

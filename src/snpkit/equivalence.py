@@ -13,10 +13,11 @@ which is stricter than R1/R2 wherever both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .eliminate import TransformResult
 from .model import SnpSystem
-from .semantics import NondeterministicChoice, Trace, run
+from .semantics import Kernel, NondeterministicChoice
 
 
 @dataclass(frozen=True)
@@ -41,20 +42,38 @@ class Verdict:
         return self.first_divergence is None
 
 
-def env_trajectory(system: SnpSystem, bound: int) -> list[int]:
-    """Environment count after each tick, up to halting or ``bound``."""
+def _environments(
+    system: SnpSystem, bound: int, label: str | None = None
+) -> Iterator[tuple[int, int | None]]:
+    """``(environment, halting tick or None)`` for every tick 0..bound.
+
+    After halting the count is held and the halting tick repeated, without
+    simulating further.  Nothing but the kernel's state is kept, so memory
+    does not grow with the bound.  ``label`` names the side of a
+    co-simulation on a NondeterministicChoice.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    trace = run(system, bound)
-    return [c.environment for c in trace.configurations]
-
-
-def _tagged_run(system: SnpSystem, bound: int, label: str) -> Trace:
     try:
-        return run(system, bound)
+        for tick, environment, halted in Kernel(system).ticks(bound):
+            if halted:
+                for _ in range(tick, bound + 1):
+                    yield environment, tick
+                return
+            yield environment, None
     except NondeterministicChoice as err:
         err.system = label
         raise
+
+
+def env_trajectory(system: SnpSystem, bound: int) -> list[int]:
+    """Environment count after each tick, up to halting or ``bound``."""
+    trajectory = []
+    for environment, halt in _environments(system, bound):
+        trajectory.append(environment)
+        if halt is not None:
+            break
+    return trajectory
 
 
 def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdict:
@@ -65,57 +84,45 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     the trajectory comparison is the verdict basis.  When exactly one halts,
     both fail.  Environment trajectories are compared pointwise over the
     whole window, extending a halted system's count as constant.
+
+    The two systems advance in lock step and no configuration is kept.
+    Both run to halting or ``bound`` even after they part, so that both
+    halting ticks are known.  An engine error in the source is raised in
+    preference to one in the target, as if the source were run first.
     """
-    src = _tagged_run(source, bound, "source")
-    tgt = _tagged_run(target, bound, "target")
-
-    src_env = _extended_env(src, bound)
-    tgt_env = _extended_env(tgt, bound)
+    src = _environments(source, bound, "source")
+    tgt = _environments(target, bound, "target")
     first_divergence = None
-    equal_through = bound
-    for tick, (a, b) in enumerate(zip(src_env, tgt_env)):
-        if a != b:
-            first_divergence = (tick, a, b)
-            equal_through = tick - 1
-            break
+    try:
+        for tick, ((a, source_halt), (b, target_halt)) in enumerate(zip(src, tgt)):
+            if a != b and first_divergence is None:
+                first_divergence = (tick, a, b)
+            if source_halt is not None and target_halt is not None:
+                break
+    except Exception:
+        for _ in src:
+            pass
+        raise
 
-    source_halt = src.outcome.at if src.halted else None
-    target_halt = tgt.outcome.at if tgt.halted else None
     if source_halt is None and target_halt is None:
         r1 = r2 = None
     else:
         r1 = source_halt is not None and source_halt == target_halt
-        r2 = (
-            src.halted
-            and tgt.halted
-            and src.final.environment == tgt.final.environment
-        )
+        r2 = source_halt is not None and target_halt is not None and a == b
     return Verdict(
         source_halt=source_halt,
         target_halt=target_halt,
         r1_holds=r1,
         r2_holds=r2,
-        source_env_at_halt=src.final.environment if src.halted else None,
-        target_env_at_halt=tgt.final.environment if tgt.halted else None,
-        trajectory_equal_through=equal_through,
+        source_env_at_halt=a if source_halt is not None else None,
+        target_env_at_halt=b if target_halt is not None else None,
+        trajectory_equal_through=bound if first_divergence is None else first_divergence[0] - 1,
         first_divergence=first_divergence,
         bound=bound,
     )
 
 
-def _extended_env(trace: Trace, bound: int) -> list[int]:
-    env = [c.environment for c in trace.configurations]
-    env.extend([env[-1]] * (bound + 1 - len(env)))
-    return env
-
-
 def check_count_law(result: TransformResult) -> bool:
     """Added neurons, net of feeders, must equal the sum of the delays
     eliminated from the normalized source."""
-    total_delay = sum(
-        rule.delay
-        for neuron in result.normalized_source.neurons
-        for rule in neuron.rules
-        if rule.delayed
-    )
-    return result.added_count - len(result.feeders) == total_delay
+    return result.added_count - len(result.feeders) == sum(result.delays)

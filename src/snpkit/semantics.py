@@ -9,6 +9,7 @@ and the parked emission is released the moment it reopens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import Neuron, SnpSystem
 
@@ -193,16 +194,151 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
 
     The trace always starts at tick 0; a halting check at tick 0 is allowed,
     so a system with nothing to do halts immediately.  Runs are pure: the
-    same system and budget always give the identical trace.
+    same system and budget always give the identical trace, the one that
+    ``step`` and ``is_halting`` define.  Each configuration is the previous
+    one with only the neurons the kernel touched replaced; equal neuron
+    states are shared within a run.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    kernel = Kernel(system)
+    spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
     config = initial_configuration(system)
     configs = [config]
-    while True:
-        if is_halting(system, config):
-            return Trace(tuple(configs), Halted(config.tick))
-        if config.tick >= max_steps:
-            return Trace(tuple(configs), BudgetExhausted())
-        config = step(system, config)
-        configs.append(config)
+    states = list(config.states)
+    interned: dict[tuple[int, int, int], NeuronState] = {}
+    touched: set[int] = set()
+    ticks = kernel.ticks(max_steps, touched)
+    tick, environment, halted = next(ticks)
+    for tick, environment, halted in ticks:
+        for i in touched:
+            key = (spikes[i], countdown[i], pending[i])
+            state = interned.get(key)
+            if state is None:
+                state = interned[key] = NeuronState(key[0], key[1], key[2] or None)
+            states[i] = state
+        configs.append(Configuration(tuple(states), environment, tick))
+    return Trace(tuple(configs), Halted(tick) if halted else BudgetExhausted())
+
+
+class Kernel:
+    """The event-driven engine behind ``run`` and co-simulation.
+
+    The system is flattened once into per-neuron rule tuples and successor
+    indices.  The state is three integer lists in declaration order:
+    ``spikes``, ``countdown`` (ticks until the neuron reopens, 0 while open)
+    and ``pending`` (the parked emission, 0 while open).
+
+    A tick touches only the closed neurons and the open neurons whose spike
+    count changed since they were last checked; every other open neuron
+    was found to have no enabled rule at the count it still holds.  The
+    same check decides halting: a configuration halts when no neuron is
+    closed and no checked neuron has an enabled rule.
+    """
+
+    def __init__(self, system: SnpSystem):
+        neurons = system.neurons
+        self.ids = [n.id for n in neurons]
+        self.rules = [
+            tuple((r.guard.terms, r.consume, r.produce, r.delay) for r in n.rules)
+            for n in neurons
+        ]
+        self.successors = system.successors
+        out = system.index.get(system.output)
+        self.output = -1 if out is None else out
+        self.spikes = [n.initial_spikes for n in neurons]
+        self.countdown = [0] * len(neurons)
+        self.pending = [0] * len(neurons)
+
+    def ticks(
+        self, max_steps: int, touched: set[int] | None = None
+    ) -> Iterator[tuple[int, int, bool]]:
+        """Advance the state in place, yielding ``(tick, environment, halted)``
+        for every configuration from tick 0.
+
+        The last item is the first halting configuration (``halted`` true) or
+        the one at tick ``max_steps``.  The state lists hold the yielded
+        configuration until the generator is resumed.  If ``touched`` is
+        given, each tick refills it with the indices whose state the tick
+        may have changed.
+
+        Raises NondeterministicChoice, like ``step``, when a tick to be
+        computed would start with several rules enabled in one neuron, and
+        ValueError for a fired rule that ``NeuronState`` could not hold.
+        """
+        rules, successors, output, ids = self.rules, self.successors, self.output, self.ids
+        spikes, countdown, pending = self.spikes, self.countdown, self.pending
+        closed: list[int] = []
+        dirty = set(range(len(spikes)))  # open neurons to check
+        spare: set[int] = set()  # the set checked last, reused for the next
+        environment = 0
+        tick = 0
+        while True:
+            firing = []
+            faults = []  # (neuron, None) for a tie, (neuron, rule) for an invalid firing
+            for i in dirty:
+                k = spikes[i]
+                chosen = None
+                for rule in rules[i]:
+                    if k < rule[1]:
+                        continue
+                    for offset, period in rule[0]:  # SpikeRegex.matches, inlined
+                        if k == offset or (period and k > offset and (k - offset) % period == 0):
+                            break
+                    else:
+                        continue
+                    if chosen is not None:
+                        faults.append((i, None))
+                        break
+                    chosen = rule
+                if chosen is not None:
+                    firing.append((i, chosen))
+                    if chosen[3] < 0 or (chosen[3] and chosen[2] < 1):
+                        faults.append((i, chosen))
+            halted = not closed and not firing
+            if halted or tick >= max_steps:
+                yield tick, environment, halted
+                return
+            yield tick, environment, False
+            if faults:
+                # ``step`` meets the lowest faulty neuron first, and a tie
+                # before the state that its first rule would make
+                i, rule = min(faults, key=lambda f: (f[0], f[1] is not None))
+                if rule is None:
+                    raise NondeterministicChoice(ids[i], tick + 1)
+                NeuronState(0, rule[3], rule[2])  # raises the ValueError ``step`` would
+
+            dirty, spare = spare, dirty
+            dirty.clear()
+            pool = []  # (origin, batch) emissions of this tick
+            was_closed, closed = closed, []
+            for i in was_closed:
+                left = countdown[i] - 1
+                countdown[i] = left
+                if left:
+                    closed.append(i)
+                else:
+                    pool.append((i, pending[i]))
+                    pending[i] = 0
+                    dirty.add(i)
+            for i, (_, consume, produce, delay) in firing:
+                spikes[i] -= consume
+                if delay:
+                    countdown[i] = delay
+                    pending[i] = produce
+                    closed.append(i)
+                else:
+                    dirty.add(i)
+                    if produce > 0:
+                        pool.append((i, produce))
+            for origin, batch in pool:
+                for target in successors[origin]:
+                    if not countdown[target]:
+                        spikes[target] += batch
+                        dirty.add(target)
+                if origin == output:
+                    environment += batch
+            if touched is not None:
+                touched.clear()
+                touched.update(closed, dirty)
+            tick += 1

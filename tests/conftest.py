@@ -160,3 +160,24 @@ def simple_systems(draw) -> SnpSystem:
     else:
         synapses = frozenset()
     return SnpSystem(tuple(neurons), synapses, draw(st.sampled_from(ids)), "random")
+
+
+@st.composite
+def two_rule_systems(draw) -> SnpSystem:
+    """Valid systems whose neurons carry up to two rules with arbitrary
+    guards, so that ties (NondeterministicChoice) occur at random ticks."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
+    neurons = []
+    for nid in ids:
+        rules = []
+        for _ in range(draw(st.integers(0, 2))):
+            consume = draw(st.integers(1, 3))
+            produce = draw(st.integers(0, consume))
+            delay = draw(st.integers(0, 3)) if produce else 0
+            rules.append(Rule(draw(spike_regexes()), consume, produce, delay))
+        neurons.append(Neuron(nid, draw(st.integers(0, 4)), tuple(rules)))
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    synapses = frozenset()
+    if pairs:
+        synapses = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    return SnpSystem(tuple(neurons), synapses, draw(st.sampled_from(ids)), "random")

@@ -229,6 +229,21 @@ def test_criterion_6_iteration_trajectories():
     report(6, "iteration trajectories pointwise equal over 200 ticks, d in 2..8")
 
 
+def test_criterion_6b_long_chain_trajectory_is_fast():
+    # the delay-free size of a 1000-hop d=3 chain; a dense kernel that scans
+    # every neuron on every tick needs about 22 s here
+    n = 4001
+    neurons = tuple(Neuron(f"c{i}", int(i == 0), (Rule.semi_homogeneous(1),)) for i in range(n))
+    synapses = frozenset((f"c{i}", f"c{i + 1}") for i in range(n - 1))
+    chain = SnpSystem(neurons, synapses, f"c{n - 1}", "long-chain")
+    start = time.perf_counter()
+    env = env_trajectory(chain, 5000)
+    elapsed = time.perf_counter() - start
+    assert env == [0] * n + [1]
+    assert elapsed < 0.5, f"{n}-neuron chain took {elapsed:.3f} s"
+    report("6b", f"{n}-neuron chain trajectory in {elapsed * 1000:.0f} ms")
+
+
 # --- criterion 7: neuron-count law ---------------------------------------------
 
 

@@ -143,6 +143,17 @@ def test_invalid_document_is_input_error(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "transform"])
+@pytest.mark.parametrize("rule", ["(a^2)+ / a^2 -> a^2 ; 1", "a / a -> a ; 2"])
+def test_unsupported_delayed_rule_is_input_error(tmp_path, capsys, command, rule):
+    path = tmp_path / "unsupported.snp"
+    path.write_text(RELAY_DOC.replace("a+ / a -> a ; 2", rule))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: neuron 2:")
+    assert "Traceback" not in err
+
+
 def test_nondeterministic_system_is_engine_error(tmp_path, capsys):
     path = tmp_path / "ambiguous.snp"
     path.write_text(AMBIGUOUS_DOC)
