@@ -2,11 +2,15 @@
 """Sweep every routing construct over delays 1..8, rewrite each instance,
 and co-simulate; then repeat on seeded random compositions.
 
+Exits 1 when a composition diverges without an overlap warning or an
+instance breaks the count law, so the script doubles as a check.
+
 Usage: python scripts/delay_sweep.py [--bound N] [--compositions N] [--seed N]
 """
 
 import argparse
 import random
+import sys
 import time
 import warnings
 
@@ -106,7 +110,7 @@ def main():
         f"compositions: {args.compositions} random chains; "
         f"{quiet_equivalent} unflagged and equivalent, "
         f"{flagged_divergent} flagged and genuinely divergent, "
-        f"{flagged_equivalent} flagged conservatively but still equivalent"
+        f"{flagged_equivalent} flagged; equivalent within the bound"
     )
     for i, parts, divergence in counterexamples:
         print(f"  counterexample composite-{i}: {parts} diverges at {divergence}")
@@ -114,7 +118,8 @@ def main():
         print(f"count law FAILED on: {', '.join(count_law_failures)}")
     else:
         print("count law: added neurons equal the delay sum on every instance")
+    return 1 if counterexamples or count_law_failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

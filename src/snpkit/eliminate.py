@@ -20,12 +20,12 @@ target alike, so the two stay aligned (both shift by one tick).
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
+from .semantics import Kernel, NondeterministicChoice
 
 
 class InvalidDelay(ValueError):
@@ -46,11 +46,12 @@ class UnsupportedDelayedRule(Exception):
 
 
 class BatchOverlapWarning(UserWarning):
-    """A delayed neuron may receive spikes while closed.
+    """The rewrite may not be exact for this source.
 
-    The original loses such spikes; its replacement subnet keeps them, so
-    the two systems can diverge.  The static check behind this warning is
-    conservative; co-simulation is the arbiter.
+    The rewrite is exact when no batch reaches a closed neuron and no
+    delayed neuron fires with a batch queued.  The warning names the first
+    event of the source's run that breaks this, or says that the run left
+    the question undecided; without it the two systems are equivalent.
     """
 
 
@@ -222,9 +223,11 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     neuron growth is the sum of the eliminated delays plus one per feeder.
 
     Raises ValidationError on a malformed input and UnsupportedDelayedRule
-    when a delayed rule is not of the shape (a^j)+ / a^j -> a.  Emits a
-    BatchOverlapWarning when the conservative static check cannot rule out
-    spikes arriving at a closed neuron (where source and target may part).
+    when a delayed rule is not of the shape (a^j)+ / a^j -> a.  The target
+    is exact when no batch reaches a closed neuron and no delayed neuron
+    fires with a batch queued in the normalized source's run; a
+    BatchOverlapWarning names the first such event, or says the run left
+    it undecided (``batch_hazards``).
     """
     normalized, feeder_ids = normalize_initial(system)
 
@@ -288,251 +291,55 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     )
 
 
-# --- static single-batch check ----------------------------------------------
+# --- the overlap check: one run of the source --------------------------------
 #
-# The rewrite is exact as long as each delayed neuron sees each spike batch
-# while open.  That holds for single-wave routing (one initial spike, equal
-# path lengths into joins) and for loops through the delayed neuron itself.
-# The checks below flag the ways a batch can hit a closed window:
-#
-# * multi-spike sources that meter spikes out over several ticks,
-# * arrival paths of different lengths (staggered batches),
-# * repeating cycles that feed the neuron faster than it reopens,
-# * waves merging on a loop neuron that is re-seeded from outside,
-# * simultaneous arrivals piling up on a neuron that consumes fewer
-#   spikes per firing than it received (it re-fires, staggering them).
-#
-# They are conservative; a flagged system may still agree, and
-# co-simulation stays the arbiter either way.
+# The rewrite is exact when no batch reaches a closed neuron and no delayed
+# neuron fires with a batch queued.  The source loses a batch that
+# reaches it closed, where the subnet keeps it; and a delayed neuron whose
+# leftover spikes still enable its rule fires again only after it reopens,
+# where the multipliers fire again on the next tick.  Every system the
+# engine accepts is deterministic, so it has one run, and the check follows
+# that run on the kernel until the first such event, halting, or a repeated
+# configuration.  Repeats are found with Brent's method, which keeps one
+# saved copy of the state, so memory does not grow with ticks.
 
-_PATH_BUDGET = 20_000
+_HAZARD_TICKS = 10_000
 
 
 def batch_hazards(system: SnpSystem) -> list[str]:
-    """Conservative reasons why a delayed neuron might lose spikes."""
-    n = len(system.neurons)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    for a, b in system.synapses:
-        ia, ib = system.index.get(a), system.index.get(b)
-        if ia is not None and ib is not None:
-            adjacency[ia].append(ib)
-            predecessors[ib].append(ia)
-    delays = [max((r.delay for r in neuron.rules), default=0) for neuron in system.neurons]
-    spiked = [i for i, neuron in enumerate(system.neurons) if neuron.initial_spikes >= 1]
-    delayed = [i for i in range(n) if delays[i] >= 1]
-    if not delayed or not spiked:
+    """The first event of the source's run that the rewrite does not
+    reproduce, as a one-item list; [] when the run halts or repeats a
+    configuration without one.  A run that meets a tie, or neither halts
+    nor repeats within a fixed number of ticks, is reported undecided."""
+    if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
         return []
-
-    reachable = _reach(adjacency, spiked)
-    delayed = [s for s in delayed if s in reachable]
-    reach_of = {i: _reach(adjacency, [i]) for i in range(n)}
-    hazards: list[str] = []
-
-    for i in spiked:
-        if system.neurons[i].initial_spikes >= 2 and any(s in reach_of[i] for s in delayed):
-            hazards.append(
-                f"neuron {system.ids[i]} holds several initial spikes upstream of a "
-                "delayed neuron; they may be metered out as staggered batches"
-            )
-
-    # nodes that can emit spikes more than once: anything on or behind a
-    # cycle, or behind a multi-spike holder
-    scc_of = _cyclic_scc_ids(adjacency)
-    repeat_roots = [i for i in range(n) if scc_of[i] is not None]
-    repeat_roots += [i for i in spiked if system.neurons[i].initial_spikes >= 2]
-    repeatable = set(repeat_roots) | _reach(adjacency, repeat_roots)
-
-    for s in delayed:
-        offsets, overflowed = _arrival_offsets(adjacency, delays, spiked, s)
-        if overflowed:
-            hazards.append(
-                f"neuron {system.ids[s]}: too many distinct paths to analyse; "
-                "cannot rule out staggered spike batches"
-            )
-            continue
-        if len(offsets) > 1:
-            hazards.append(
-                f"neuron {system.ids[s]}: spike batches can arrive over paths of "
-                f"different lengths ({sorted(offsets)}); late ones may find it closed"
-            )
-
-        cycle = _fastest_feeding_cycle(adjacency, delays, spiked, s)
-        if cycle is not None and cycle < delays[s] + 1:
-            hazards.append(
-                f"neuron {system.ids[s]}: a feeding loop repeats every {cycle} ticks, "
-                f"faster than its {delays[s]}-tick closed window"
-            )
-
-        # includes s itself: _reach counts its roots
-        upstream = [u for u in range(n) if u in reachable and s in reach_of[u]]
-        for u in upstream:
-            if scc_of[u] is None:
-                continue
-            outside = [
-                v for v in predecessors[u] if scc_of[v] != scc_of[u] and v in repeatable
-            ]
-            if outside:
-                hazards.append(
-                    f"neuron {system.ids[u]} sits on a loop upstream of "
-                    f"{system.ids[s]} and is re-seeded from {system.ids[outside[0]]}; "
-                    "merged waves may stagger"
-                )
-
-        for u in upstream:
-            hops, _ = _arrival_offsets(adjacency, delays, spiked, u)
-            simultaneous = 0
-            for senders in hops.values():
-                arriving = sum(
-                    max((r.produce for r in system.neurons[p].rules), default=0)
-                    for p in senders
-                )
-                simultaneous = max(simultaneous, arriving)
-            least = min((r.consume for r in system.neurons[u].rules), default=None)
-            if simultaneous >= 2 and least is not None and least < simultaneous:
-                hazards.append(
-                    f"neuron {system.ids[u]} can receive {simultaneous} spikes at once "
-                    f"but consumes {least} per firing; the surplus re-fires it and "
-                    f"staggers batches toward {system.ids[s]}"
-                )
-    return _dedupe(hazards)
-
-
-def _dedupe(items: list[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
-def _reach(adjacency: list[list[int]], roots: list[int]) -> set[int]:
-    seen = set(roots)
-    stack = list(roots)
-    while stack:
-        for t in adjacency[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def _arrival_offsets(
-    adjacency: list[list[int]], delays: list[int], spiked: list[int], goal: int
-) -> tuple[dict[int, set[int]], bool]:
-    """For each simple-path cost from a spiked neuron to ``goal``, the set of
-    last-hop neurons delivering at that cost.
-
-    Each hop out of a neuron costs one tick plus that neuron's delay.  A
-    neuron fires at most once per tick, so distinct last hops sharing a cost
-    measure how many deliveries can coincide.
-    """
-    offsets: dict[int, set[int]] = {}
-    explored = 0
-    for root in spiked:
-        stack: list[tuple[int, int, frozenset[int]]] = [(root, 0, frozenset({root}))]
-        while stack:
-            node, cost, visited = stack.pop()
-            explored += 1
-            if explored > _PATH_BUDGET:
-                return offsets, True
-            for t in adjacency[node]:
-                c = cost + 1 + delays[node]
-                if t == goal:
-                    offsets.setdefault(c, set()).add(node)
-                elif t not in visited:
-                    stack.append((t, c, visited | {t}))
-    return offsets, False
-
-
-def _cyclic_scc_ids(adjacency: list[list[int]]) -> list[int | None]:
-    """Strongly-connected-component id per node, only for components that
-    contain a cycle (size >= 2; self-loops cannot occur)."""
-    n = len(adjacency)
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen[root] = True
-        while stack:
-            node, pointer = stack[-1]
-            if pointer < len(adjacency[node]):
-                stack[-1] = (node, pointer + 1)
-                nxt = adjacency[node][pointer]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-                stack.pop()
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in adjacency[a]:
-            reverse[b].append(a)
-    ids: list[int | None] = [None] * n
-    current = 0
-    assigned = [False] * n
-    for node in reversed(order):
-        if assigned[node]:
-            continue
-        component = []
-        stack2 = [node]
-        assigned[node] = True
-        while stack2:
-            u = stack2.pop()
-            component.append(u)
-            for v in reverse[u]:
-                if not assigned[v]:
-                    assigned[v] = True
-                    stack2.append(v)
-        if len(component) >= 2:
-            for u in component:
-                ids[u] = current
-        current += 1
-    return ids
-
-
-def _fastest_feeding_cycle(
-    adjacency: list[list[int]], delays: list[int], spiked: list[int], goal: int
-) -> int | None:
-    """Weight of the lightest cycle avoiding ``goal`` that is live (reachable
-    from a spiked neuron) and feeds ``goal``.  Cycles through ``goal`` itself
-    are inherently slower than its closed window and are ignored."""
-    n = len(adjacency)
-    live = _reach(adjacency, spiked)
-    feeds_goal = {
-        i for i in range(n) if i != goal and goal in _reach(adjacency, [i])
-    }
-    candidates = [i for i in feeds_goal if i in live]
-    best: int | None = None
-    for start in candidates:
-        # any cycle through start feeds the goal, since start does
-        dist = _dijkstra_back(adjacency, delays, start, forbidden=goal)
-        for u in range(n):
-            if dist[u] is None or u == goal or start not in adjacency[u]:
-                continue
-            weight = dist[u] + 1 + delays[u]
-            if best is None or weight < best:
-                best = weight
-    return best
-
-
-def _dijkstra_back(
-    adjacency: list[list[int]], delays: list[int], start: int, forbidden: int
-) -> list[int | None]:
-    n = len(adjacency)
-    dist: list[int | None] = [None] * n
-    queue: list[tuple[int, int]] = [(0, start)]
-    while queue:
-        d, node = heapq.heappop(queue)
-        if dist[node] is not None:
-            continue
-        dist[node] = d
-        for t in adjacency[node]:
-            if t != forbidden and dist[t] is None:
-                heapq.heappush(queue, (d + 1 + delays[node], t))
-    return dist
+    kernel = Kernel(system)
+    state = (kernel.spikes, kernel.countdown, kernel.pending)
+    saved, power, steps = None, 1, 0
+    try:
+        for tick, _, halted in kernel.ticks(_HAZARD_TICKS):
+            if kernel.event is not None:
+                kind, i, at = kernel.event
+                if kind == "lost":
+                    return [
+                        f"neuron {kernel.ids[i]} is closed when a spike batch reaches it "
+                        f"at tick {at}; the source loses the batch, the delay-free target keeps it"
+                    ]
+                return [
+                    f"neuron {kernel.ids[i]} fires at tick {at} with a batch still queued; "
+                    "the source fires the queued batch after reopening, "
+                    "the delay-free target at once"
+                ]
+            if halted or state == saved:
+                return []
+            steps += 1
+            if steps == power:
+                saved = tuple(part.copy() for part in state)
+                power *= 2
+                steps = 0
+    except NondeterministicChoice as err:
+        return [f"undecided at tick {err.tick}: neuron {err.neuron} has several enabled rules"]
+    return [
+        f"undecided at tick {tick}: the source neither halts nor repeats a "
+        f"configuration within {_HAZARD_TICKS} ticks"
+    ]

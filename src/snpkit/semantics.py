@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Neuron, SnpSystem
+from .model import Neuron, SnpSystem, SpikeRegex
 
 
 class NondeterministicChoice(Exception):
@@ -234,6 +234,11 @@ class Kernel:
     was found to have no enabled rule at the count it still holds.  The
     same check decides halting: a configuration halts when no neuron is
     closed and no checked neuron has an enabled rule.
+
+    ``event`` is ``(kind, neuron index, tick)`` of the first of two events
+    the run meets, or None: ``"lost"`` when a spike batch reaches a closed
+    neuron, ``"queued"`` when a delayed rule fires and leaves spikes that
+    still enable it, so the next batch waits out the closed window.
     """
 
     def __init__(self, system: SnpSystem):
@@ -249,6 +254,7 @@ class Kernel:
         self.spikes = [n.initial_spikes for n in neurons]
         self.countdown = [0] * len(neurons)
         self.pending = [0] * len(neurons)
+        self.event: tuple[str, int, int] | None = None
 
     def ticks(
         self, max_steps: int, touched: set[int] | None = None
@@ -268,6 +274,7 @@ class Kernel:
         """
         rules, successors, output, ids = self.rules, self.successors, self.output, self.ids
         spikes, countdown, pending = self.spikes, self.countdown, self.pending
+        event = self.event
         closed: list[int] = []
         dirty = set(range(len(spikes)))  # open neurons to check
         spare: set[int] = set()  # the set checked last, reused for the next
@@ -321,12 +328,15 @@ class Kernel:
                     pool.append((i, pending[i]))
                     pending[i] = 0
                     dirty.add(i)
-            for i, (_, consume, produce, delay) in firing:
+            for i, (terms, consume, produce, delay) in firing:
                 spikes[i] -= consume
                 if delay:
                     countdown[i] = delay
                     pending[i] = produce
                     closed.append(i)
+                    if event is None and spikes[i] >= consume:
+                        if SpikeRegex(terms).matches(spikes[i]):
+                            event = self.event = ("queued", i, tick + 1)
                 else:
                     dirty.add(i)
                     if produce > 0:
@@ -336,6 +346,8 @@ class Kernel:
                     if not countdown[target]:
                         spikes[target] += batch
                         dirty.add(target)
+                    elif event is None:
+                        event = self.event = ("lost", target, tick + 1)
                 if origin == output:
                     environment += batch
             if touched is not None:

@@ -266,6 +266,21 @@ def test_criterion_7_count_law():
     report(7, f"added neurons equal the delay sum on {checked} systems")
 
 
+def test_criterion_7b_long_chain_rewrite_is_fast():
+    # the overlap check follows the source's one run; the static path
+    # analysis it replaced took about 410 s here
+    source = generate(Sequential((3,) * 1000))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BatchOverlapWarning)
+        result = eliminate_delays(source)
+    elapsed = time.perf_counter() - start
+    assert result.hazards == ()
+    assert len(result.target.neurons) == len(source.neurons) + 3000
+    assert elapsed < 1.0, f"1000-hop chain rewrite took {elapsed:.3f} s"
+    report("7b", f"1000-hop chain rewritten and checked in {elapsed * 1000:.0f} ms")
+
+
 # --- criterion 8: feeder normalization ------------------------------------------
 
 

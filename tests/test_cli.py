@@ -159,3 +159,29 @@ def test_nondeterministic_system_is_engine_error(tmp_path, capsys):
     path.write_text(AMBIGUOUS_DOC)
     assert main(["sim", str(path)]) == 3
     assert "engine error" in capsys.readouterr().err
+
+
+def test_transform_without_delays_runs_no_check(tmp_path, capsys):
+    path = tmp_path / "ambiguous.snp"
+    path.write_text(AMBIGUOUS_DOC)
+    assert main(["transform", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "warning:" not in out
+    assert "system ambiguous-delay-free" in out
+
+
+def test_tie_in_the_overlap_check_is_undecided(tmp_path, capsys):
+    # the tie at tick 1 leaves the overlap check undecided; transform still
+    # writes the target, and verify reports the tie as the source's
+    path = tmp_path / "ambiguous.snp"
+    tie = "rule 1: a+ / a -> a\nrule 1: a / a -> a\n"
+    path.write_text(RELAY_DOC.replace("rule 1: a+ / a -> a\n", tie))
+    with pytest.warns(UserWarning):
+        assert main(["transform", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "warning: undecided at tick 1: neuron 1 has several enabled rules" in out
+    assert "system relay-delay-free" in out
+    with pytest.warns(UserWarning):
+        assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "engine error: neuron 1 has several enabled rules at tick 1 in source\n"

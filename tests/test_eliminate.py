@@ -1,8 +1,10 @@
 """Feeder normalization, gadget construction, and the full rewrite."""
 
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
 from snpkit import (
     BatchOverlapWarning,
@@ -22,11 +24,14 @@ from snpkit import (
     build_gadget,
     co_simulate,
     compose,
+    eliminate,
     eliminate_delays,
     env_trajectory,
     generate,
     normalize_initial,
 )
+
+from .conftest import simple_systems
 
 
 def forward(delay=0):
@@ -274,7 +279,8 @@ class TestBatchHazards:
             ),
             "d",
         )
-        assert any("paths" in h for h in batch_hazards(system))
+        [hazard] = batch_hazards(system)
+        assert hazard.startswith("neuron d is closed when a spike batch reaches it at tick 3;")
 
     def test_multi_spike_source_upstream(self):
         system = SnpSystem(
@@ -282,21 +288,26 @@ class TestBatchHazards:
             frozenset({("a", "s")}),
             "s",
         )
-        assert any("initial spikes" in h for h in batch_hazards(system))
+        [hazard] = batch_hazards(system)
+        assert hazard.startswith("neuron s is closed when a spike batch reaches it at tick 2;")
 
     def test_iteration_loop_through_the_delayed_neuron_is_fine(self):
         assert batch_hazards(generate(Iteration(4, "second"))) == []
 
-    def test_composition_with_split_upstream_warns(self):
+    def test_composition_with_split_upstream_is_quiet(self):
+        # each branch of the split carries one batch; none reaches a closed
+        # neuron, so the rewrite is exact
         composite = compose([Split(d_left=3), Sequential((2,))])
-        assert batch_hazards(composite)
+        assert batch_hazards(composite) == []
+        result = eliminate_delays(composite)
+        assert co_simulate(result.normalized_source, result.target, 200).equivalent
 
     def test_reseeded_loop_warns_and_diverges(self):
         # a loop fed by another loop merges waves; the merged pair is then
         # metered out one spike per tick into the delayed neuron
         composite = compose([Iteration(4, "first"), Iteration(1, "second")])
-        hazards = batch_hazards(composite)
-        assert any("re-seeded" in h for h in hazards)
+        [hazard] = batch_hazards(composite)
+        assert hazard.startswith("neuron c2-12 is closed when a spike batch reaches it at tick 14;")
         result = transform_quietly(composite)
         verdict = co_simulate(result.normalized_source, result.target, 200)
         assert not verdict.equivalent
@@ -315,8 +326,8 @@ class TestBatchHazards:
             frozenset({("s", "x"), ("s", "y"), ("x", "u"), ("y", "u"), ("u", "d")}),
             "d",
         )
-        hazards = batch_hazards(system)
-        assert any("consumes" in h for h in hazards)
+        [hazard] = batch_hazards(system)
+        assert hazard.startswith("neuron d is closed when a spike batch reaches it at tick 4;")
         result = transform_quietly(system)
         verdict = co_simulate(result.normalized_source, result.target, 60)
         assert not verdict.equivalent
@@ -329,3 +340,100 @@ class TestBatchHazards:
         result = eliminate_delays(composite)
         verdict = co_simulate(result.normalized_source, result.target, 200)
         assert verdict.r1_holds and verdict.r2_holds
+
+    def test_loops_of_different_length_queue_a_batch(self):
+        # n0(d=2) -> {n1, n2}, n2 -> n1, {n1, n2} -> n0: no batch reaches n0
+        # while it is closed, but two batches arrive a tick apart and the
+        # second waits out the closed window in the source only
+        system = SnpSystem(
+            (
+                Neuron("n0", 1, (forward(delay=2),)),
+                Neuron("n1", 0, (forward(),)),
+                Neuron("n2", 0, (forward(),)),
+            ),
+            frozenset({("n0", "n1"), ("n0", "n2"), ("n2", "n1"), ("n1", "n0"), ("n2", "n0")}),
+            "n1",
+        )
+        with pytest.warns(BatchOverlapWarning):
+            result = eliminate_delays(system)
+        [hazard] = result.hazards
+        assert hazard.startswith("neuron n0 fires at tick 6 with a batch still queued;")
+        verdict = co_simulate(result.normalized_source, result.target, 200)
+        assert not verdict.equivalent
+
+    def test_simultaneous_batches_queue_on_a_delayed_neuron(self):
+        # s -> {x, y} -> d -> o: d receives two spikes at once and consumes
+        # one per firing; nothing is lost, but the second spike leaves d
+        # after its closed window in the source and at once in the target
+        system = SnpSystem(
+            (
+                Neuron("s", 1, (forward(),)),
+                Neuron("x", 0, (forward(),)),
+                Neuron("y", 0, (forward(),)),
+                Neuron("d", 0, (forward(delay=2),)),
+                Neuron("o", 0, (forward(),)),
+            ),
+            frozenset({("s", "x"), ("s", "y"), ("x", "d"), ("y", "d"), ("d", "o")}),
+            "o",
+        )
+        with pytest.warns(BatchOverlapWarning):
+            result = eliminate_delays(system)
+        [hazard] = result.hazards
+        assert hazard.startswith("neuron d fires at tick 3 with a batch still queued;")
+        verdict = co_simulate(result.normalized_source, result.target, 60)
+        assert (verdict.source_halt, verdict.target_halt) == (9, 7)
+
+    def test_no_delayed_neuron_needs_no_run(self):
+        # a run would meet this tie at tick 1 and report it undecided
+        tied = SnpSystem(
+            (Neuron("n", 1, (forward(), Rule(SpikeRegex.exactly(1), 1))),), frozenset(), "n"
+        )
+        assert batch_hazards(tied) == []
+
+    def test_tie_is_undecided(self):
+        tied = SnpSystem(
+            (
+                Neuron("n", 1, (forward(), Rule(SpikeRegex.exactly(1), 1))),
+                Neuron("d", 0, (forward(delay=2),)),
+            ),
+            frozenset({("n", "d")}),
+            "d",
+        )
+        assert batch_hazards(tied) == ["undecided at tick 1: neuron n has several enabled rules"]
+
+    def test_unbounded_growth_is_undecided(self, monkeypatch):
+        # n3 gains a spike every tick, so no configuration repeats; the
+        # delayed neuron n1 never fires.  Memory stays flat however long
+        # the check runs.
+        growing = SnpSystem(
+            (
+                Neuron("n0", 0, (forward(),)),
+                Neuron("n1", 0, (forward(delay=1),)),
+                Neuron("n2", 1, (forward(),)),
+                Neuron("n3", 0, (forward(),)),
+            ),
+            frozenset({("n0", "n3"), ("n2", "n3"), ("n3", "n0"), ("n3", "n2")}),
+            "n1",
+        )
+        peaks = []
+        for budget in (1_000, eliminate._HAZARD_TICKS):
+            monkeypatch.setattr(eliminate, "_HAZARD_TICKS", budget)
+            tracemalloc.start()
+            try:
+                [hazard] = batch_hazards(growing)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert hazard.startswith(f"undecided at tick {budget}:")
+        assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_systems())
+def test_no_hazard_means_equivalent(system):
+    try:
+        result = transform_quietly(system)
+    except UnsupportedDelayedRule:
+        return
+    if not result.hazards:
+        assert co_simulate(result.normalized_source, result.target, 100).equivalent
