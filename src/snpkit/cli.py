@@ -15,8 +15,8 @@ from .eliminate import TransformResult, UnsupportedDelayedRule, eliminate_delays
 from .equivalence import co_simulate
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
-from .semantics import NondeterministicChoice, run
-from .textio import ParseError, TraceStyle, export_dot, format_trace, parse_system, serialize_system
+from .semantics import Kernel, NondeterministicChoice
+from .textio import ParseError, TraceStyle, export_dot, parse_system, serialize_system, trace_lines
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -28,19 +28,36 @@ def _load(path: str):
     return parse_system(Path(path).read_text())
 
 
+def _ever_closes(system, max_steps: int) -> bool:
+    """Whether some neuron is closed in some configuration of the run, from
+    a run ahead of the one printed, stopped at the first closed neuron."""
+    if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
+        return False
+    kernel = Kernel(system)
+    countdown = kernel.countdown
+    return any(any(countdown) for _ in kernel.ticks(max_steps))
+
+
 def _cmd_sim(args) -> int:
+    """Print each configuration as the kernel reaches it; no trace is kept.
+
+    The outcome record (machine style) or halting line comes last and only
+    on success: an engine error stops the stream without one.
+    """
     system = _load(args.file)
-    trace = run(system, args.max_steps)
+    if args.max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     style = TraceStyle(args.style)
-    print(format_trace(trace, style, ascii_brackets=args.ascii, system=system))
-    if style is not TraceStyle.MACHINE:
-        if trace.halted:
-            print(f"halted at tick {trace.outcome.at}, environment {trace.final.environment}")
-        else:
-            print(
-                f"budget exhausted after {trace.final.tick} ticks, "
-                f"environment {trace.final.environment}"
-            )
+    closes = style is TraceStyle.TABLE and _ever_closes(system, args.max_steps)
+    kernel = Kernel(system)
+    spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
+    frames = (
+        (tick, spikes, countdown, pending, environment, halted)
+        for tick, environment, halted in kernel.ticks(args.max_steps)
+    )
+    write = sys.stdout.write
+    for line in trace_lines(frames, style, args.ascii, system, closes, halting_line=True):
+        write(line + "\n")
     return EXIT_OK
 
 

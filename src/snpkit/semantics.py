@@ -222,7 +222,7 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
 
 
 class Kernel:
-    """The event-driven engine behind ``run`` and co-simulation.
+    """The event-driven engine behind ``run``, co-simulation and ``snpkit sim``.
 
     The system is flattened once into per-neuron rule tuples and successor
     indices.  The state is three integer lists in declaration order:

@@ -23,13 +23,15 @@ parse(serialize(s)) reproduces s exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
-from .semantics import Configuration, Halted, Trace
+from .semantics import Configuration, Trace
 
 
 class ParseError(Exception):
@@ -256,13 +258,85 @@ class TraceStyle(Enum):
     MACHINE = "machine"  # JSON, one record per tick
 
 
+# One configuration as the renderer reads it:
+# (tick, spikes, closed, pending, environment, halted).  ``closed`` holds the
+# ticks until each neuron reopens, ``pending`` its parked batch (0 while
+# open), and ``halted`` is true only on the halting configuration.
+Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
+
+
+class _Numerals(dict):
+    """Decimal text of small counts, made once; larger counts are not kept."""
+
+    def __missing__(self, k: int) -> str:
+        return str(k)
+
+
+@functools.cache
+def _json_numerals() -> tuple[Callable[[int], str], Callable[[int], str]]:
+    """JSON text of a count, and of a parked batch (null while open); built
+    at the first machine-style render, not at import."""
+    numerals = _Numerals((k, str(k)) for k in range(1024))
+    return numerals.__getitem__, _Numerals({**numerals, 0: "null"}).__getitem__
+
+
+def _vector(spikes: Sequence[int], closed: Sequence[int], environment: int, ascii_brackets: bool) -> str:
+    left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
+    cells = [*map("{}/{}".format, spikes, closed), str(environment)]
+    return f"{left}{', '.join(cells)}{right}"
+
+
 def format_configuration(config: Configuration, ascii_brackets: bool = False) -> str:
     """Angle-bracket vector: one spikes/countdown pair per neuron, then the
     environment count."""
-    left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
-    cells = [f"{s.spikes}/{s.closed_remaining}" for s in config.states]
-    cells.append(str(config.environment))
-    return f"{left}{', '.join(cells)}{right}"
+    states = config.states
+    return _vector(
+        [s.spikes for s in states], [s.closed_remaining for s in states], config.environment, ascii_brackets
+    )
+
+
+def trace_lines(
+    frames: Iterable[Frame],
+    style: TraceStyle,
+    ascii_brackets: bool,
+    system: SnpSystem | None,
+    closes: bool,
+    halting_line: bool = False,
+) -> Iterator[str]:
+    """Render a run one line at a time, each as soon as its frame arrives.
+
+    Table and machine styles start with a header when the system is given.
+    Every frame gives one line; table style shows spikes/countdown pairs if
+    ``closes`` (some neuron is closed somewhere in the run) and bare spike
+    counts otherwise.  Machine style ends with an outcome record, and
+    ``halting_line`` ends paper and table styles with how the run ended.
+    """
+    if style is TraceStyle.PAPER:
+        for tick, spikes, closed, _, environment, halted in frames:
+            yield f"C{tick} = {_vector(spikes, closed, environment, ascii_brackets)}"
+    elif style is TraceStyle.TABLE:
+        if system is not None:
+            yield "\t".join(["step", *system.ids, "env"])
+        for tick, spikes, closed, _, environment, halted in frames:
+            cells = map("{}/{}".format, spikes, closed) if closes else map(str, spikes)
+            yield "\t".join([f"t{tick}", *cells, str(environment)])
+    else:
+        if system is not None:
+            yield json.dumps({"system": system.name, "neurons": list(system.ids)}, separators=(",", ":"))
+        numeral, pending_text = _json_numerals()
+        for tick, spikes, closed, pending, environment, halted in frames:
+            yield (
+                f'{{"tick":{tick},"spikes":[{",".join(map(numeral, spikes))}],'
+                f'"closed":[{",".join(map(numeral, closed))}],'
+                f'"pending":[{",".join(map(pending_text, pending))}],"environment":{environment}}}'
+            )
+        yield f'{{"outcome":"halted","at":{tick}}}' if halted else '{"outcome":"budget-exhausted"}'
+        return
+    if halting_line:
+        if halted:
+            yield f"halted at tick {tick}, environment {environment}"
+        else:
+            yield f"budget exhausted after {tick} ticks, environment {environment}"
 
 
 def format_trace(
@@ -276,46 +350,24 @@ def format_trace(
     Table style shows bare spike counts while no neuron ever closes (the
     delay-free case) and spikes/countdown pairs otherwise; passing the
     system adds a header row.  Machine style emits one JSON record per
-    tick plus a final outcome record.
+    tick plus a final outcome record.  The lines are those of
+    ``trace_lines`` over the trace's configurations.
     """
-    if style is TraceStyle.PAPER:
-        lines = [
-            f"C{c.tick} = {format_configuration(c, ascii_brackets)}"
-            for c in trace.configurations
-        ]
-        return "\n".join(lines)
-
-    if style is TraceStyle.TABLE:
-        closes = any(s.closed_remaining for c in trace.configurations for s in c.states)
-        lines = []
-        if system is not None:
-            lines.append("\t".join(["step", *system.ids, "env"]))
-        for c in trace.configurations:
-            if closes:
-                cells = [f"{s.spikes}/{s.closed_remaining}" for s in c.states]
-            else:
-                cells = [str(s.spikes) for s in c.states]
-            lines.append("\t".join([f"t{c.tick}", *cells, str(c.environment)]))
-        return "\n".join(lines)
-
-    records = []
-    if system is not None:
-        records.append({"system": system.name, "neurons": list(system.ids)})
-    for c in trace.configurations:
-        records.append(
-            {
-                "tick": c.tick,
-                "spikes": [s.spikes for s in c.states],
-                "closed": [s.closed_remaining for s in c.states],
-                "pending": [s.pending_emission for s in c.states],
-                "environment": c.environment,
-            }
+    configs = trace.configurations
+    last = len(configs) - 1
+    frames = (
+        (
+            c.tick,
+            [s.spikes for s in c.states],
+            [s.closed_remaining for s in c.states],
+            [s.pending_emission or 0 for s in c.states],
+            c.environment,
+            i == last and trace.halted,
         )
-    if isinstance(trace.outcome, Halted):
-        records.append({"outcome": "halted", "at": trace.outcome.at})
-    else:
-        records.append({"outcome": "budget-exhausted"})
-    return "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
+        for i, c in enumerate(configs)
+    )
+    closes = any(s.closed_remaining for c in configs for s in c.states)
+    return "\n".join(trace_lines(frames, style, ascii_brackets, system, closes))
 
 
 # --- DOT export --------------------------------------------------------------

@@ -1,9 +1,24 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
-import pytest
+import io
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
-from snpkit import parse_system
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snpkit import (
+    NondeterministicChoice,
+    TraceStyle,
+    format_trace,
+    parse_system,
+    run,
+    serialize_system,
+)
 from snpkit.cli import main
+
+from .conftest import simple_systems, two_rule_systems
 
 RELAY_DOC = """\
 system relay
@@ -41,6 +56,18 @@ neuron n spikes=1
 rule n: a+ / a -> a
 rule n: a^1 / a -> a
 out n
+"""
+
+
+TIE_LATER_DOC = """\
+system tie-later
+neuron 1 spikes=1
+rule 1: a+ / a -> a
+neuron 2
+rule 2: a+ / a -> a
+rule 2: a / a -> a
+syn 1 -> 2
+out 2
 """
 
 
@@ -185,3 +212,134 @@ def test_tie_in_the_overlap_check_is_undecided(tmp_path, capsys):
         assert main(["verify", str(path)]) == 3
     err = capsys.readouterr().err
     assert err == "engine error: neuron 1 has several enabled rules at tick 1 in source\n"
+
+
+def sim(argv):
+    """Exit status, stdout and stderr of ``snpkit sim``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["sim", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def expected_sim(system, steps, style, ascii_brackets):
+    """The reference for ``sim``: ``format_trace`` of the whole ``run``
+    trace plus, for paper and table, the halting line."""
+    trace = run(system, steps)
+    text = format_trace(trace, style, ascii_brackets, system) + "\n"
+    if style is TraceStyle.MACHINE:
+        return text
+    env = trace.final.environment
+    if trace.halted:
+        return text + f"halted at tick {trace.outcome.at}, environment {env}\n"
+    return text + f"budget exhausted after {trace.final.tick} ticks, environment {env}\n"
+
+
+@given(
+    st.one_of(simple_systems(), two_rule_systems()),
+    st.integers(0, 30),
+    st.sampled_from(TraceStyle),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sim_streams_what_format_trace_renders(tmp_path_factory, system, steps, style, ascii_brackets):
+    path = tmp_path_factory.mktemp("sim") / "system.snp"
+    path.write_text(serialize_system(system))
+    system = parse_system(path.read_text())
+    argv = [str(path), "--max-steps", str(steps), "--style", style.value]
+    code, out, err = sim(argv + ["--ascii"] if ascii_brackets else argv)
+    try:
+        expected = expected_sim(system, steps, style, ascii_brackets)
+    except NondeterministicChoice as tie:
+        # the stream stops after the last configuration before the tie, with
+        # no outcome; table style first runs ahead for a closing neuron, and
+        # a tie met there comes before any output
+        assert (code, err) == (3, f"engine error: {tie}\n")
+        before = run(system, tie.tick - 1)
+        lines = format_trace(before, style, ascii_brackets, system).split("\n")
+        if style is TraceStyle.MACHINE:
+            lines.pop()
+        closes = any(s.closed_remaining for c in before.configurations for s in c.states)
+        delayed = any(r.delay for n in system.neurons for r in n.rules)
+        if style is TraceStyle.TABLE and delayed and not closes:
+            assert out == ""
+        else:
+            assert out == "\n".join(lines) + "\n"
+        return
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("style", list(TraceStyle))
+@pytest.mark.parametrize("steps", [0, 2, 1000])
+def test_sim_matches_format_trace_on_the_relay(relay_file, style, steps):
+    assert sim([relay_file, "--style", style.value, "--max-steps", str(steps)]) == (
+        0,
+        expected_sim(parse_system(RELAY_DOC), steps, style, False),
+        "",
+    )
+
+
+def test_table_shows_bare_counts_when_no_delayed_rule_fires(tmp_path):
+    # neuron 2's delayed rule needs five spikes and never gets them
+    doc = RELAY_DOC.replace("rule 2: a+ / a -> a ; 2", "rule 2: a^5 / a^5 -> a ; 2")
+    path = tmp_path / "idle-delay.snp"
+    path.write_text(doc)
+    code, out, _ = sim([str(path), "--style", "table"])
+    assert code == 0
+    assert out == expected_sim(parse_system(doc), 1000, TraceStyle.TABLE, False)
+    assert out.splitlines()[1:3] == ["t0\t1\t0\t0\t0", "t1\t0\t1\t0\t0"]
+    assert out.splitlines()[-1] == "halted at tick 1, environment 0"
+
+
+def test_table_shows_countdowns_when_a_delayed_rule_fires(relay_file):
+    code, out, _ = sim([relay_file, "--style", "table"])
+    assert code == 0
+    assert out == expected_sim(parse_system(RELAY_DOC), 1000, TraceStyle.TABLE, False)
+    assert out.splitlines()[3] == "t2\t0/0\t0/2\t0/0\t0"
+
+
+@pytest.mark.parametrize("style", list(TraceStyle))
+def test_tie_after_tick_zero_stops_the_stream_without_an_outcome(tmp_path, style):
+    path = tmp_path / "tie-later.snp"
+    path.write_text(TIE_LATER_DOC)
+    code, out, err = sim([str(path), "--style", style.value, "--ascii"])
+    assert code == 3
+    assert err == "engine error: neuron 2 has several enabled rules at tick 2\n"
+    lines = out.splitlines()
+    assert len(lines) == 2 + (style is not TraceStyle.PAPER)  # header, ticks 0 and 1
+    if style is TraceStyle.PAPER:
+        assert lines == ["C0 = <1/0, 0/0, 0>", "C1 = <0/0, 1/0, 0>"]
+    assert not any(word in out for word in ("halted", "budget", "outcome"))
+
+
+def test_negative_budget_is_rejected_before_any_output(relay_file):
+    assert sim([relay_file, "--max-steps", "-1"]) == (2, "", "error: max_steps must be >= 0\n")
+
+
+class Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_sim_memory_does_not_grow_with_the_ticks(tmp_path):
+    path = tmp_path / "loop.snp"
+    path.write_text(
+        "neuron a spikes=1\nrule a: a+ / a -> a\nneuron b\nrule b: a+ / a -> a\n"
+        "syn a -> b\nsyn b -> a\nout a\n"
+    )
+    argv = ["sim", str(path), "--style", "machine", "--max-steps"]
+    with redirect_stdout(Discard()):
+        assert main(argv + ["10"]) == 0  # builds the parser outside the measurement
+    peaks = []
+    for ticks in (10**3, 10**4):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(Discard()):
+                assert main(argv + [str(ticks)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] * 1.5 + 4096, peaks

@@ -4,7 +4,8 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snpkit import (
     Join,
@@ -28,7 +29,7 @@ from snpkit import (
 )
 from snpkit.textio import parse_guard, render_guard, render_rule
 
-from .conftest import SYSTEMS_DIR, random_system, spike_regexes
+from .conftest import SYSTEMS_DIR, random_system, simple_systems, spike_regexes
 
 RELAY_DOC = """\
 system relay
@@ -171,6 +172,34 @@ class TestTraceRendering:
         assert records[0] == {"system": "relay", "neurons": ["1", "2", "3"]}
         assert records[3]["closed"] == [0, 2, 0]
         assert records[-1] == {"outcome": "halted", "at": 5}
+
+    @given(simple_systems(), st.integers(0, 30))
+    @settings(max_examples=100)
+    def test_machine_records_are_the_json_of_each_configuration(self, system, steps):
+        trace = run(system, steps)
+        records = [{"system": system.name, "neurons": list(system.ids)}]
+        for c in trace.configurations:
+            records.append(
+                {
+                    "tick": c.tick,
+                    "spikes": [s.spikes for s in c.states],
+                    "closed": [s.closed_remaining for s in c.states],
+                    "pending": [s.pending_emission for s in c.states],
+                    "environment": c.environment,
+                }
+            )
+        if trace.halted:
+            records.append({"outcome": "halted", "at": trace.outcome.at})
+        else:
+            records.append({"outcome": "budget-exhausted"})
+        expected = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
+        assert format_trace(trace, TraceStyle.MACHINE, system=system) == expected
+
+    def test_machine_style_writes_large_counts_in_full(self):
+        system = SnpSystem((Neuron("n", 5000, ()),), frozenset(), "n", "big")
+        assert format_trace(run(system, 3), TraceStyle.MACHINE).splitlines()[0] == (
+            '{"tick":0,"spikes":[5000],"closed":[0],"pending":[null],"environment":0}'
+        )
 
     def test_rendering_is_deterministic(self, relay):
         trace = run(relay, 10)
