@@ -1,35 +1,15 @@
 """snpkit: spiking neural P systems with delays, a delay-eliminating
-rewrite, and co-simulation equivalence checking."""
+rewrite, and co-simulation equivalence checking.
 
-from .eliminate import (
-    BatchOverlapWarning,
-    GadgetPlan,
-    IdAllocator,
-    InvalidDelay,
-    Provenance,
-    TransformResult,
-    UnsupportedDelayedRule,
-    batch_hazards,
-    build_gadget,
-    eliminate_delays,
-    normalize_initial,
-)
+The names below are the user-facing API.  The parts behind them (the
+validation issue types, ``build_gadget``, ``normalize_initial``,
+``enabled_rules`` and the like) are imported from their submodules.
+"""
+
+from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedRule, batch_hazards, eliminate_delays
 from .equivalence import Verdict, check_count_law, co_simulate, env_trajectory
-from .model import (
-    DanglingSynapse,
-    DuplicateNeuron,
-    InvalidRule,
-    NegativeSpikes,
-    Neuron,
-    Rule,
-    SelfLoop,
-    SnpSystem,
-    SpikeRegex,
-    UnknownOutput,
-    ValidationError,
-    validate,
-)
-from .routing import Iteration, Join, RoutingInstance, Sequential, Split, compose, generate
+from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
+from .routing import Iteration, Join, Sequential, Split, compose, generate
 from .semantics import (
     BudgetExhausted,
     Configuration,
@@ -37,23 +17,11 @@ from .semantics import (
     NeuronState,
     NondeterministicChoice,
     Trace,
-    enabled_rules,
-    initial_configuration,
     is_halting,
     run,
     step,
 )
-from .textio import (
-    ParseError,
-    SystemDocument,
-    TraceStyle,
-    export_dot,
-    format_configuration,
-    format_trace,
-    parse_document,
-    parse_system,
-    serialize_system,
-)
+from .textio import ParseError, TraceStyle, export_dot, format_trace, parse_system, serialize_system
 
 __version__ = "0.1.0"
 
@@ -61,52 +29,34 @@ __all__ = [
     "BatchOverlapWarning",
     "BudgetExhausted",
     "Configuration",
-    "DanglingSynapse",
-    "DuplicateNeuron",
-    "GadgetPlan",
     "Halted",
-    "IdAllocator",
-    "InvalidDelay",
-    "InvalidRule",
     "Iteration",
     "Join",
-    "NegativeSpikes",
     "Neuron",
     "NeuronState",
     "NondeterministicChoice",
     "ParseError",
-    "Provenance",
-    "RoutingInstance",
     "Rule",
-    "SelfLoop",
     "Sequential",
     "SnpSystem",
     "SpikeRegex",
     "Split",
-    "SystemDocument",
     "Trace",
     "TraceStyle",
     "TransformResult",
-    "UnknownOutput",
     "UnsupportedDelayedRule",
     "ValidationError",
     "Verdict",
     "batch_hazards",
-    "build_gadget",
     "check_count_law",
     "co_simulate",
     "compose",
     "eliminate_delays",
-    "enabled_rules",
     "env_trajectory",
     "export_dot",
-    "format_configuration",
     "format_trace",
     "generate",
-    "initial_configuration",
     "is_halting",
-    "normalize_initial",
-    "parse_document",
     "parse_system",
     "run",
     "serialize_system",

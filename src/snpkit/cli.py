@@ -71,9 +71,11 @@ def _accounting(result: TransformResult) -> list[str]:
         f"added neurons net of feeders: {result.added_count - len(result.feeders)}"
         f" = sum of delays: {sum(delays)}",
     ]
-    for hazard in result.hazards:
-        lines.append(f"warning: {hazard}")
-    return lines
+    return lines + _warnings(result)
+
+
+def _warnings(result: TransformResult) -> list[str]:
+    return [f"warning: {hazard}" for hazard in result.hazards]
 
 
 def _cmd_transform(args) -> int:
@@ -101,6 +103,8 @@ def _cmd_transform(args) -> int:
 def _cmd_verify(args) -> int:
     system = _load(args.file)
     result = eliminate_delays(system)
+    for line in _warnings(result):
+        print(line)
     verdict = co_simulate(result.normalized_source, result.target, args.bound)
     for label, halt, env in (
         ("source", verdict.source_halt, verdict.source_env_at_halt),

@@ -90,10 +90,6 @@ class GadgetPlan:
     def entry_ids(self) -> tuple[str, ...]:
         return self.multiplier_ids if self.d >= 2 else (self.drain_id,)
 
-    @property
-    def all_ids(self) -> tuple[str, ...]:
-        return self.multiplier_ids + (self.drain_id, self.exit_id)
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -232,7 +228,6 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     normalized, feeder_ids = normalize_initial(system)
 
     plans: dict[str, GadgetPlan] = {}
-    parts: dict[str, tuple[Neuron, ...]] = {}
     internal: set[tuple[str, str]] = set()
     alloc = IdAllocator(n.id for n in normalized.neurons)
     target_neurons: list[Neuron] = []
@@ -256,7 +251,6 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
             rule.consume, rule.delay, alloc, neuron.id
         )
         plans[neuron.id] = plan
-        parts[neuron.id] = gadget_neurons
         internal |= gadget_synapses
         target_neurons.extend(gadget_neurons)
         for i, m in enumerate(plan.multiplier_ids, start=1):

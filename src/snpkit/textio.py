@@ -16,9 +16,9 @@ The system format is line oriented; ``#`` starts a comment::
 Guards are ``a``, ``a^4``, ``a+``, ``(a^2)+``, ``a^3(a^2)*`` or unions of
 those joined with ``|``.  A rule consumes ``a^c`` (plain ``a`` for one
 spike) and produces ``a^b``, ``a``, or ``0`` for a forgetting rule, with
-an optional ``; d`` delay.  Neurons must be declared before their rules;
-exactly one ``out`` line is required.  Serialisation is canonical, so
-parse(serialize(s)) reproduces s exactly.
+an optional ``; d`` delay.  Counts are ASCII digits.  Neurons must be
+declared before their rules; exactly one ``out`` line is required.
+Serialisation is canonical, so parse(serialize(s)) reproduces s exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -42,16 +41,28 @@ class ParseError(Exception):
 
 
 _ID = r"[A-Za-z0-9_'.\-]+"
-_NEURON_RE = re.compile(rf"^neuron\s+(?P<id>{_ID})(?:\s+spikes\s*=\s*(?P<spikes>\d+))?$")
+_NUM = r"[0-9]+"  # counts are ASCII digits; \d and int() take more
+_NEURON_RE = re.compile(rf"^neuron\s+(?P<id>{_ID})(?:\s+spikes\s*=\s*(?P<spikes>{_NUM}))?$")
 _RULE_RE = re.compile(rf"^rule\s+(?P<id>{_ID})\s*:\s*(?P<body>.+)$")
 _SYN_RE = re.compile(rf"^syn\s+(?P<a>{_ID})\s*->\s*(?P<b>{_ID})$")
 _OUT_RE = re.compile(rf"^out\s+(?P<id>{_ID})$")
 _SYSTEM_RE = re.compile(r"^system\s+(?P<name>\S+)$")
 
-_ATOM_EXACT = re.compile(r"^a(?:\^(\d+))?$")
+_NUM_RE = re.compile(_NUM)
+_ATOM_EXACT = re.compile(rf"^a(?:\^({_NUM}))?$")
 _ATOM_PLUS = re.compile(r"^a\+$")
-_ATOM_MULTIPLES = re.compile(r"^\(a\^(\d+)\)\+$")
-_ATOM_PROGRESSION = re.compile(r"^a(?:\^(\d+))?\(a\^(\d+)\)\*$")
+_ATOM_MULTIPLES = re.compile(rf"^\(a\^({_NUM})\)\+$")
+_ATOM_PROGRESSION = re.compile(rf"^a(?:\^({_NUM}))?\(a\^({_NUM})\)\*$")
+
+
+def _count(text: str | None, what: str, default: int = 1) -> int:
+    """A spike count, exponent or delay: ASCII digits, or ``default`` when
+    absent."""
+    if text is None:
+        return default
+    if not _NUM_RE.fullmatch(text):
+        raise ValueError(f"cannot parse {what} {text!r}")
+    return int(text)
 
 
 def parse_guard(text: str) -> SpikeRegex:
@@ -62,13 +73,12 @@ def parse_guard(text: str) -> SpikeRegex:
         if m := _ATOM_PLUS.match(atom):
             terms.append((1, 1))
         elif m := _ATOM_MULTIPLES.match(atom):
-            k = int(m.group(1))
+            k = _count(m[1], "exponent")
             terms.append((k, k))
         elif m := _ATOM_PROGRESSION.match(atom):
-            offset = int(m.group(1)) if m.group(1) else 1
-            terms.append((offset, int(m.group(2))))
+            terms.append((_count(m[1], "exponent"), _count(m[2], "exponent")))
         elif m := _ATOM_EXACT.match(atom):
-            terms.append((int(m.group(1)) if m.group(1) else 1, 0))
+            terms.append((_count(m[1], "exponent"), 0))
         else:
             raise ValueError(f"cannot parse guard piece {raw.strip()!r}")
     return SpikeRegex(tuple(terms))
@@ -92,7 +102,7 @@ def _parse_count(text: str, what: str) -> int:
     m = _ATOM_EXACT.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse {what} {text.strip()!r}")
-    return int(m.group(1)) if m.group(1) else 1
+    return _count(m[1], what)
 
 
 def parse_rule_body(text: str) -> Rule:
@@ -103,7 +113,7 @@ def parse_rule_body(text: str) -> Rule:
     delay = 0
     if ";" in rest:
         rest, delay_text = rest.rsplit(";", 1)
-        delay = int(delay_text.strip())
+        delay = _count(delay_text.strip(), "delay")
     if "->" not in rest:
         raise ValueError("rule needs '->' between consumption and production")
     consume_text, produce_text = rest.split("->", 1)
@@ -131,104 +141,47 @@ def render_rule(rule: Rule) -> str:
 # --- documents ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NeuronDecl:
-    id: str
-    spikes: int
-
-
-@dataclass(frozen=True)
-class RuleDecl:
-    neuron: str
-    rule: Rule
-
-
-@dataclass(frozen=True)
-class SynapseDecl:
-    source: str
-    target: str
-
-
-@dataclass(frozen=True)
-class OutputDecl:
-    id: str
-
-
-Statement = NeuronDecl | RuleDecl | SynapseDecl | OutputDecl
-
-
-@dataclass(frozen=True)
-class SystemDocument:
-    name: str
-    statements: tuple[Statement, ...]
-
-    def to_system(self) -> SnpSystem:
-        neurons: dict[str, tuple[int, list[Rule]]] = {}
-        synapses: set[tuple[str, str]] = set()
-        output = ""
-        for stmt in self.statements:
-            if isinstance(stmt, NeuronDecl):
-                neurons[stmt.id] = (stmt.spikes, [])
-            elif isinstance(stmt, RuleDecl):
-                neurons[stmt.neuron][1].append(stmt.rule)
-            elif isinstance(stmt, SynapseDecl):
-                synapses.add((stmt.source, stmt.target))
-            else:
-                output = stmt.id
-        built = tuple(
-            Neuron(nid, spikes, tuple(rules)) for nid, (spikes, rules) in neurons.items()
-        )
-        return SnpSystem(built, frozenset(synapses), output, self.name)
-
-
-def parse_document(text: str) -> SystemDocument:
+def parse_system(text: str) -> SnpSystem:
+    """Parse and validate; raises ParseError or ValidationError."""
     name = "system"
     named = False
-    statements: list[Statement] = []
-    declared: set[str] = set()
-    output_seen = False
-    last_line = 0
+    neurons: dict[str, tuple[int, list[Rule]]] = {}
+    synapses: set[tuple[str, str]] = set()
+    output = None
+    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if m := _SYSTEM_RE.match(line):
-            if named:
-                raise ParseError(lineno, "duplicate system declaration")
-            name, named = m.group("name"), True
-        elif m := _NEURON_RE.match(line):
-            nid = m.group("id")
-            if nid in declared:
-                raise ParseError(lineno, f"neuron {nid} declared twice")
-            declared.add(nid)
-            statements.append(NeuronDecl(nid, int(m.group("spikes") or 0)))
-        elif m := _RULE_RE.match(line):
-            nid = m.group("id")
-            if nid not in declared:
-                raise ParseError(lineno, f"rule for undeclared neuron {nid}")
-            try:
-                rule = parse_rule_body(m.group("body"))
-            except ValueError as err:
-                raise ParseError(lineno, str(err)) from None
-            statements.append(RuleDecl(nid, rule))
-        elif m := _SYN_RE.match(line):
-            statements.append(SynapseDecl(m.group("a"), m.group("b")))
-        elif m := _OUT_RE.match(line):
-            if output_seen:
-                raise ParseError(lineno, "duplicate output declaration")
-            output_seen = True
-            statements.append(OutputDecl(m.group("id")))
-        else:
-            raise ParseError(lineno, f"cannot parse {line!r}")
-    if not output_seen:
-        raise ParseError(last_line or 1, "missing output declaration")
-    return SystemDocument(name, tuple(statements))
-
-
-def parse_system(text: str) -> SnpSystem:
-    """Parse and validate; raises ParseError or ValidationError."""
-    system = parse_document(text).to_system()
+        try:
+            if m := _SYSTEM_RE.match(line):
+                if named:
+                    raise ValueError("duplicate system declaration")
+                name, named = m["name"], True
+            elif m := _NEURON_RE.match(line):
+                nid = m["id"]
+                if nid in neurons:
+                    raise ValueError(f"neuron {nid} declared twice")
+                neurons[nid] = (_count(m["spikes"], "spike count", 0), [])
+            elif m := _RULE_RE.match(line):
+                nid = m["id"]
+                if nid not in neurons:
+                    raise ValueError(f"rule for undeclared neuron {nid}")
+                neurons[nid][1].append(parse_rule_body(m["body"]))
+            elif m := _SYN_RE.match(line):
+                synapses.add((m["a"], m["b"]))
+            elif m := _OUT_RE.match(line):
+                if output is not None:
+                    raise ValueError("duplicate output declaration")
+                output = m["id"]
+            else:
+                raise ValueError(f"cannot parse {line!r}")
+        except ValueError as err:
+            raise ParseError(lineno, str(err)) from None
+    if output is None:
+        raise ParseError(lineno or 1, "missing output declaration")
+    built = tuple(Neuron(nid, spikes, tuple(rules)) for nid, (spikes, rules) in neurons.items())
+    system = SnpSystem(built, frozenset(synapses), output, name)
     issues = validate(system)
     if issues:
         raise ValidationError(issues)
@@ -379,7 +332,11 @@ def _dot_escape(text: str) -> str:
 
 def export_dot(system: SnpSystem) -> str:
     """Directed-graph description with one node per neuron and a
-    distinguished environment node fed by the output neuron."""
+    distinguished environment node fed by the output neuron.  The
+    environment node is ``__env__`` unless a neuron has that id."""
+    env = "__env__"
+    while env in system.index:
+        env += "_"
     lines = [f'digraph "{_dot_escape(system.name)}" {{', "  rankdir=LR;"]
     for neuron in system.neurons:
         label_parts = [neuron.id]
@@ -390,9 +347,9 @@ def export_dot(system: SnpSystem) -> str:
         label_parts.extend(render_rule(r) for r in neuron.rules)
         label = "\\n".join(_dot_escape(p) for p in label_parts)
         lines.append(f'  "{_dot_escape(neuron.id)}" [shape=ellipse, label="{label}"];')
-    lines.append('  "__env__" [shape=doublecircle, label="env"];')
+    lines.append(f'  "{env}" [shape=doublecircle, label="env"];')
     for a, b in sorted(system.synapses):
         lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";')
-    lines.append(f'  "{_dot_escape(system.output)}" -> "__env__";')
+    lines.append(f'  "{_dot_escape(system.output)}" -> "{env}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,12 +25,12 @@ from snpkit import (
     env_trajectory,
     format_trace,
     generate,
-    normalize_initial,
     parse_system,
     run,
     serialize_system,
     TraceStyle,
 )
+from snpkit.eliminate import normalize_initial
 
 from .conftest import (
     SYSTEMS_DIR,

@@ -132,6 +132,20 @@ def test_verify_divergent_exits_one(tmp_path, capsys):
     assert "NOT equivalent" in out
 
 
+def test_verify_prints_the_hazard_on_every_call(tmp_path, capsys):
+    path = tmp_path / "hazard.snp"
+    path.write_text(LOOP_HAZARD_DOC)
+    for _ in range(2):
+        with pytest.warns(UserWarning):
+            assert main(["verify", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "warning: neuron S is closed when a spike batch reaches it at tick 4; "
+            "the source loses the batch, the delay-free target keeps it"
+        )
+        assert lines[1].startswith("source: ")
+
+
 def test_gen_round_trips(capsys):
     assert main(["gen", "sequential", "--d", "3"]) == 0
     doc = capsys.readouterr().out

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 
 from snpkit import (
     BatchOverlapWarning,
-    IdAllocator,
-    InvalidDelay,
     Iteration,
     Join,
     Neuron,
@@ -21,15 +19,14 @@ from snpkit import (
     UnsupportedDelayedRule,
     ValidationError,
     batch_hazards,
-    build_gadget,
     co_simulate,
     compose,
     eliminate,
     eliminate_delays,
     env_trajectory,
     generate,
-    normalize_initial,
 )
+from snpkit.eliminate import IdAllocator, InvalidDelay, build_gadget, normalize_initial
 
 from .conftest import simple_systems
 

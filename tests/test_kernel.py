@@ -18,11 +18,11 @@ from snpkit import (
     Trace,
     co_simulate,
     env_trajectory,
-    initial_configuration,
     is_halting,
     run,
     step,
 )
+from snpkit.semantics import initial_configuration
 
 from .conftest import simple_systems, two_rule_systems
 

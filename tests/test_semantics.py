@@ -6,26 +6,20 @@ from hypothesis import given, settings
 from snpkit import (
     BudgetExhausted,
     Configuration,
-    DanglingSynapse,
-    DuplicateNeuron,
     Halted,
-    InvalidRule,
-    NegativeSpikes,
     Neuron,
     NeuronState,
     NondeterministicChoice,
     Rule,
-    SelfLoop,
     SnpSystem,
     SpikeRegex,
-    UnknownOutput,
-    enabled_rules,
-    initial_configuration,
     is_halting,
     run,
     step,
     validate,
 )
+from snpkit.model import DanglingSynapse, DuplicateNeuron, InvalidRule, NegativeSpikes, SelfLoop, UnknownOutput
+from snpkit.semantics import enabled_rules, initial_configuration
 
 from .conftest import assert_trace_invariants, simple_systems
 

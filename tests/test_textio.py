@@ -19,15 +19,14 @@ from snpkit import (
     ValidationError,
     eliminate_delays,
     export_dot,
-    format_configuration,
     format_trace,
     generate,
-    parse_document,
     parse_system,
     run,
     serialize_system,
 )
-from snpkit.textio import parse_guard, render_guard, render_rule
+from snpkit.cli import main
+from snpkit.textio import format_configuration, parse_guard, render_guard, render_rule
 
 from .conftest import SYSTEMS_DIR, random_system, simple_systems, spike_regexes
 
@@ -65,24 +64,46 @@ class TestParsing:
 
     def test_rule_before_neuron(self):
         with pytest.raises(ParseError, match="undeclared"):
-            parse_document("rule 1: a+ / a -> a\nneuron 1\nout 1\n")
+            parse_system("rule 1: a+ / a -> a\nneuron 1\nout 1\n")
 
     def test_duplicate_neuron(self):
         with pytest.raises(ParseError, match="twice"):
-            parse_document("neuron 1\nneuron 1\nout 1\n")
+            parse_system("neuron 1\nneuron 1\nout 1\n")
 
     def test_duplicate_output(self):
         with pytest.raises(ParseError, match="duplicate output"):
-            parse_document("neuron 1\nout 1\nout 1\n")
+            parse_system("neuron 1\nout 1\nout 1\n")
 
     def test_unparseable_line_reports_position(self):
         with pytest.raises(ParseError) as err:
-            parse_document("neuron 1\nwobble\nout 1\n")
+            parse_system("neuron 1\nwobble\nout 1\n")
         assert err.value.line == 2
 
     def test_bad_guard(self):
         with pytest.raises(ParseError, match="guard"):
-            parse_document("neuron 1\nrule 1: b+ / a -> a\nout 1\n")
+            parse_system("neuron 1\nrule 1: b+ / a -> a\nout 1\n")
+
+    @pytest.mark.parametrize(
+        "doc,line",
+        [
+            ("neuron 1 spikes=1\nrule 1: a+ / a -> a ; 1_0\nout 1\n", 2),
+            ("neuron 1 spikes=1\nrule 1: a+ / a -> a ; +2\nout 1\n", 2),
+            ("neuron 1 spikes=1\nrule 1: a+ / a -> a ; \u0663\nout 1\n", 2),
+            ("neuron 1 spikes=\u0663\nout 1\n", 1),
+            ("neuron 1 spikes=1\nrule 1: a^\u0663 / a -> a\nout 1\n", 2),
+            ("neuron 1 spikes=1\nrule 1: a+ / a^\u0663 -> a\nout 1\n", 2),
+            ("neuron 1 spikes=" + "9" * 5000 + "\nout 1\n", 1),
+        ],
+        ids=["underscore-delay", "signed-delay", "arabic-indic-delay", "arabic-indic-spikes",
+             "arabic-indic-exponent", "arabic-indic-consumption", "5000-digit-spikes"],
+    )
+    def test_counts_are_ascii_digits(self, doc, line, tmp_path, capsys):
+        path = tmp_path / "bad.snp"
+        path.write_text(doc, encoding="utf-8")
+        assert main(["dot", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
 
     def test_forgetting_and_exponents(self):
         doc = "neuron 1 spikes=3\nrule 1: a^3 / a^3 -> 0\nout 1\n"
@@ -223,6 +244,19 @@ class TestDot:
         dot = export_dot(system)
         assert dot.count("shape=ellipse") == 1
         assert '"only" -> "__env__";' in dot
+
+    def test_environment_node_avoids_neuron_ids(self):
+        system = parse_system(
+            "neuron __env__ spikes=1\nrule __env__: a+ / a -> a\n"
+            "neuron __env___\nrule __env___: a+ / a -> a\n"
+            "syn __env___ -> __env__\nout __env__\n"
+        )
+        dot = export_dot(system)
+        assert dot.count("shape=ellipse") == 2
+        assert '"__env__" [shape=ellipse' in dot
+        assert '"__env____" [shape=doublecircle, label="env"];' in dot
+        assert '"__env__" -> "__env____";' in dot
+        assert '"__env__" -> "__env__"' not in dot
 
     def test_gadget_ids_carry_provenance(self):
         target = eliminate_delays(generate(Sequential((3,)))).target
