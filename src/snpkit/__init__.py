@@ -1,12 +1,19 @@
 """snpkit: spiking neural P systems with delays, a delay-eliminating
 rewrite, and co-simulation equivalence checking.
 
-The names below are the user-facing API.  The parts behind them (the
-validation issue types, ``build_gadget``, ``normalize_initial``,
-``enabled_rules`` and the like) are imported from their submodules.
+The names below are the user-facing API.  The parts behind them
+(``build_gadget``, ``normalize_initial``, ``enabled_rules`` and the like)
+are imported from their submodules.
 """
 
-from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedRule, batch_hazards, eliminate_delays
+from .eliminate import (
+    BatchOverlapWarning,
+    RewriteTooLarge,
+    TransformResult,
+    UnsupportedDelayedRule,
+    batch_hazards,
+    eliminate_delays,
+)
 from .equivalence import Verdict, check_count_law, co_simulate, env_trajectory
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
 from .routing import Iteration, Join, Sequential, Split, compose, generate
@@ -36,6 +43,7 @@ __all__ = [
     "NeuronState",
     "NondeterministicChoice",
     "ParseError",
+    "RewriteTooLarge",
     "Rule",
     "Sequential",
     "SnpSystem",

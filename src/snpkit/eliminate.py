@@ -15,7 +15,10 @@ one tick of delay.  Each replacement adds exactly d neurons net.
 
 A neuron that both holds initial spikes and owns a delayed rule first has
 its spikes moved to a fresh feeder neuron; the feeder goes into source and
-target alike, so the two stay aligned (both shift by one tick).
+target alike, so the two stay aligned.  The feeder passes its spikes on one
+per tick, so the normalized source can halt several ticks later than the
+system as written, and co-simulation compares the target with the
+normalized source.
 """
 
 from __future__ import annotations
@@ -24,12 +27,20 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
+from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
 from .semantics import Kernel, NondeterministicChoice
+
+
+# The most neurons the rewrite may add: the sum of the eliminated delays.
+MAX_ADDED_NEURONS = 10_000
 
 
 class InvalidDelay(ValueError):
     """Asked to build a delay subnet for delay 0 (nothing to eliminate)."""
+
+
+class RewriteTooLarge(ValueError):
+    """The rewrite would add more than ``MAX_ADDED_NEURONS`` neurons."""
 
 
 class UnsupportedDelayedRule(Exception):
@@ -147,12 +158,12 @@ def normalize_initial(system: SnpSystem) -> tuple[SnpSystem, tuple[str, ...]]:
 
     Every neuron that both holds spikes and owns a delayed rule gets a
     feeder (rule a+ / a -> a) holding its spikes, wired feeder -> neuron.
-    This shifts halting by one tick, identically on both sides of the
-    rewrite.  Returns the adjusted system and the feeder ids added.
+    The feeder passes k spikes on one per tick, so the result can halt
+    later than the system given, by more than one tick when k > 1; the
+    rewrite's target follows the result.  Returns the adjusted system and
+    the feeder ids added.
     """
-    issues = validate(system)
-    if issues:
-        raise ValidationError(issues)
+    check(system)
     alloc = IdAllocator(n.id for n in system.neurons)
     feeders: list[Neuron] = []
     feeder_ids: list[str] = []
@@ -218,14 +229,21 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     output-neuron status.  Everything else is copied verbatim.  The net
     neuron growth is the sum of the eliminated delays plus one per feeder.
 
-    Raises ValidationError on a malformed input and UnsupportedDelayedRule
-    when a delayed rule is not of the shape (a^j)+ / a^j -> a.  The target
-    is exact when no batch reaches a closed neuron and no delayed neuron
-    fires with a batch queued in the normalized source's run; a
-    BatchOverlapWarning names the first such event, or says the run left
-    it undecided (``batch_hazards``).
+    Raises ValidationError on a malformed input, RewriteTooLarge before
+    building anything when the delays sum to more than
+    ``MAX_ADDED_NEURONS``, and UnsupportedDelayedRule when a delayed rule
+    is not of the shape (a^j)+ / a^j -> a.  The target is exact when no
+    batch reaches a closed neuron and no delayed neuron fires with a batch
+    queued in the normalized source's run; a BatchOverlapWarning names the
+    first such event, or says the run left it undecided (``batch_hazards``).
     """
     normalized, feeder_ids = normalize_initial(system)
+    added = sum(rule.delay for neuron in normalized.neurons for rule in neuron.rules)
+    if added > MAX_ADDED_NEURONS:
+        raise RewriteTooLarge(
+            f"the delays sum to {added}: the rewrite would add more than "
+            f"{MAX_ADDED_NEURONS} neurons"
+        )
 
     plans: dict[str, GadgetPlan] = {}
     internal: set[tuple[str, str]] = set()

@@ -88,7 +88,8 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     The two systems advance in lock step and no configuration is kept.
     Both run to halting or ``bound`` even after they part, so that both
     halting ticks are known.  An engine error in the source is raised in
-    preference to one in the target, as if the source were run first.
+    preference to one in the target, as if the source were run first; a
+    malformed system raises ValidationError.
     """
     src = _environments(source, bound, "source")
     tgt = _environments(target, bound, "target")

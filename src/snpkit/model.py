@@ -131,6 +131,12 @@ class SnpSystem:
                 out[ia].append(ib)
         return tuple(tuple(t) for t in out)
 
+    @cached_property
+    def issues(self) -> tuple[str, ...]:
+        """Structural problems as messages, found on first use; see
+        ``validate``."""
+        return _issues(self)
+
     def neuron(self, neuron_id: str) -> Neuron:
         return self.neurons[self.index[neuron_id]]
 
@@ -138,106 +144,65 @@ class SnpSystem:
 # --- structural validation -------------------------------------------------
 #
 # Constructors above are deliberately permissive: ``validate`` reports every
-# structural problem as a value so callers can show them all at once.
-
-
-@dataclass(frozen=True)
-class SelfLoop:
-    neuron: str
-
-    def __str__(self):
-        return f"self-loop on neuron {self.neuron}"
-
-
-@dataclass(frozen=True)
-class DanglingSynapse:
-    source: str
-    target: str
-    missing: str
-
-    def __str__(self):
-        return f"synapse {self.source} -> {self.target} names unknown neuron {self.missing}"
-
-
-@dataclass(frozen=True)
-class UnknownOutput:
-    output: str
-
-    def __str__(self):
-        return f"output neuron {self.output!r} does not exist"
-
-
-@dataclass(frozen=True)
-class DuplicateNeuron:
-    neuron: str
-
-    def __str__(self):
-        return f"neuron id {self.neuron} declared more than once"
-
-
-@dataclass(frozen=True)
-class NegativeSpikes:
-    neuron: str
-
-    def __str__(self):
-        return f"neuron {self.neuron} has a negative initial spike count"
-
-
-@dataclass(frozen=True)
-class InvalidRule:
-    neuron: str
-    rule_index: int
-    reason: str
-
-    def __str__(self):
-        return f"rule {self.rule_index} of neuron {self.neuron}: {self.reason}"
-
-
-Issue = SelfLoop | DanglingSynapse | UnknownOutput | DuplicateNeuron | NegativeSpikes | InvalidRule
+# structural problem as a message so callers can show them all at once.
 
 
 class ValidationError(Exception):
     """Raised by entry points that require a structurally clean system."""
 
-    def __init__(self, issues: list[Issue]):
+    def __init__(self, issues: list[str]):
         self.issues = list(issues)
-        super().__init__("; ".join(str(i) for i in self.issues))
+        super().__init__("; ".join(self.issues))
 
 
-def validate(system: SnpSystem) -> list[Issue]:
-    """Report structural issues; an empty list means well-formed.
+def validate(system: SnpSystem) -> list[str]:
+    """Report structural issues as messages; an empty list means well-formed.
 
     Checks neuron id uniqueness, spike counts, rule shape (consume >= 1,
     produce <= consume for emitting rules, no delayed forgetting rules),
     synapse endpoints, self-loops and the output id.
     """
-    issues: list[Issue] = []
+    return list(system.issues)
+
+
+def check(system: SnpSystem) -> SnpSystem:
+    """The system itself, or ValidationError naming all its issues."""
+    issues = validate(system)
+    if issues:
+        raise ValidationError(issues)
+    return system
+
+
+def _issues(system: SnpSystem) -> tuple[str, ...]:
+    issues: list[str] = []
     seen: set[str] = set()
     for neuron in system.neurons:
         if neuron.id in seen:
-            issues.append(DuplicateNeuron(neuron.id))
+            issues.append(f"neuron id {neuron.id} declared more than once")
         seen.add(neuron.id)
         if neuron.initial_spikes < 0:
-            issues.append(NegativeSpikes(neuron.id))
+            issues.append(f"neuron {neuron.id} has a negative initial spike count")
         for i, rule in enumerate(neuron.rules):
             if rule.consume < 1:
-                issues.append(InvalidRule(neuron.id, i, "must consume at least one spike"))
+                issues.append(f"rule {i} of neuron {neuron.id}: must consume at least one spike")
             if rule.produce < 0:
-                issues.append(InvalidRule(neuron.id, i, "negative production"))
+                issues.append(f"rule {i} of neuron {neuron.id}: negative production")
             if rule.produce > 0 and rule.consume < rule.produce:
                 issues.append(
-                    InvalidRule(neuron.id, i, "cannot produce more spikes than it consumes")
+                    f"rule {i} of neuron {neuron.id}: cannot produce more spikes than it consumes"
                 )
             if rule.produce == 0 and rule.delay != 0:
-                issues.append(InvalidRule(neuron.id, i, "forgetting rules cannot be delayed"))
+                issues.append(f"rule {i} of neuron {neuron.id}: forgetting rules cannot be delayed")
             if rule.delay < 0:
-                issues.append(InvalidRule(neuron.id, i, "negative delay"))
-    for a, b in sorted(system.synapses):
+                issues.append(f"rule {i} of neuron {neuron.id}: negative delay")
+    # only the bad synapses are sorted, for a stable message order
+    bad = [(a, b) for a, b in system.synapses if a == b or a not in seen or b not in seen]
+    for a, b in sorted(bad):
         if a == b:
-            issues.append(SelfLoop(a))
+            issues.append(f"self-loop on neuron {a}")
         for end in (a, b):
             if end not in seen:
-                issues.append(DanglingSynapse(a, b, end))
+                issues.append(f"synapse {a} -> {b} names unknown neuron {end}")
     if system.output not in seen:
-        issues.append(UnknownOutput(system.output))
-    return issues
+        issues.append(f"output neuron {system.output!r} does not exist")
+    return tuple(issues)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Neuron, SnpSystem, SpikeRegex
+from .model import Neuron, SnpSystem, SpikeRegex, check
 
 
 class NondeterministicChoice(Exception):
@@ -197,7 +197,8 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
     same system and budget always give the identical trace, the one that
     ``step`` and ``is_halting`` define.  Each configuration is the previous
     one with only the neurons the kernel touched replaced; equal neuron
-    states are shared within a run.
+    states are shared within a run.  A malformed system raises
+    ValidationError before tick 0.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -235,6 +236,9 @@ class Kernel:
     same check decides halting: a configuration halts when no neuron is
     closed and no checked neuron has an enabled rule.
 
+    A malformed system is refused with ValidationError when the kernel is
+    built, so a tick trusts every rule it fires.
+
     ``event`` is ``(kind, neuron index, tick)`` of the first of two events
     the run meets, or None: ``"lost"`` when a spike batch reaches a closed
     neuron, ``"queued"`` when a delayed rule fires and leaves spikes that
@@ -242,15 +246,14 @@ class Kernel:
     """
 
     def __init__(self, system: SnpSystem):
-        neurons = system.neurons
+        neurons = check(system).neurons
         self.ids = [n.id for n in neurons]
         self.rules = [
             tuple((r.guard.terms, r.consume, r.produce, r.delay) for r in n.rules)
             for n in neurons
         ]
         self.successors = system.successors
-        out = system.index.get(system.output)
-        self.output = -1 if out is None else out
+        self.output = system.index[system.output]
         self.spikes = [n.initial_spikes for n in neurons]
         self.countdown = [0] * len(neurons)
         self.pending = [0] * len(neurons)
@@ -269,8 +272,7 @@ class Kernel:
         may have changed.
 
         Raises NondeterministicChoice, like ``step``, when a tick to be
-        computed would start with several rules enabled in one neuron, and
-        ValueError for a fired rule that ``NeuronState`` could not hold.
+        computed would start with several rules enabled in one neuron.
         """
         rules, successors, output, ids = self.rules, self.successors, self.output, self.ids
         spikes, countdown, pending = self.spikes, self.countdown, self.pending
@@ -282,7 +284,7 @@ class Kernel:
         tick = 0
         while True:
             firing = []
-            faults = []  # (neuron, None) for a tie, (neuron, rule) for an invalid firing
+            ties = []
             for i in dirty:
                 k = spikes[i]
                 chosen = None
@@ -295,25 +297,18 @@ class Kernel:
                     else:
                         continue
                     if chosen is not None:
-                        faults.append((i, None))
+                        ties.append(i)
                         break
                     chosen = rule
                 if chosen is not None:
                     firing.append((i, chosen))
-                    if chosen[3] < 0 or (chosen[3] and chosen[2] < 1):
-                        faults.append((i, chosen))
             halted = not closed and not firing
             if halted or tick >= max_steps:
                 yield tick, environment, halted
                 return
             yield tick, environment, False
-            if faults:
-                # ``step`` meets the lowest faulty neuron first, and a tie
-                # before the state that its first rule would make
-                i, rule = min(faults, key=lambda f: (f[0], f[1] is not None))
-                if rule is None:
-                    raise NondeterministicChoice(ids[i], tick + 1)
-                NeuronState(0, rule[3], rule[2])  # raises the ValueError ``step`` would
+            if ties:  # ``step`` meets the lowest tied neuron first
+                raise NondeterministicChoice(ids[min(ties)], tick + 1)
 
             dirty, spare = spare, dirty
             dirty.clear()

@@ -29,7 +29,7 @@ import re
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
+from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
 from .semantics import Configuration, Trace
 
 
@@ -47,6 +47,8 @@ _RULE_RE = re.compile(rf"^rule\s+(?P<id>{_ID})\s*:\s*(?P<body>.+)$")
 _SYN_RE = re.compile(rf"^syn\s+(?P<a>{_ID})\s*->\s*(?P<b>{_ID})$")
 _OUT_RE = re.compile(rf"^out\s+(?P<id>{_ID})$")
 _SYSTEM_RE = re.compile(r"^system\s+(?P<name>\S+)$")
+_ID_RE = re.compile(_ID)
+_NAME_RE = re.compile(r"[^\s#]+")  # a name survives comment stripping
 
 _NUM_RE = re.compile(_NUM)
 _ATOM_EXACT = re.compile(rf"^a(?:\^({_NUM}))?$")
@@ -181,15 +183,19 @@ def parse_system(text: str) -> SnpSystem:
     if output is None:
         raise ParseError(lineno or 1, "missing output declaration")
     built = tuple(Neuron(nid, spikes, tuple(rules)) for nid, (spikes, rules) in neurons.items())
-    system = SnpSystem(built, frozenset(synapses), output, name)
-    issues = validate(system)
-    if issues:
-        raise ValidationError(issues)
-    return system
+    return check(SnpSystem(built, frozenset(synapses), output, name))
 
 
 def serialize_system(system: SnpSystem) -> str:
-    """Canonical document text; parsing it back reproduces the system."""
+    """Canonical document text; parsing it back reproduces the system.
+
+    Raises ValueError for an id or a name that the text cannot carry.
+    """
+    if not _NAME_RE.fullmatch(system.name):
+        raise ValueError(f"system name {system.name!r} is empty or has whitespace or '#'")
+    for nid in (*system.ids, system.output):
+        if not _ID_RE.fullmatch(nid):
+            raise ValueError(f"neuron id {nid!r} is not of letters, digits and _'.-")
     lines = [f"system {system.name}"]
     for neuron in system.neurons:
         suffix = f" spikes={neuron.initial_spikes}" if neuron.initial_spikes else ""

@@ -16,6 +16,7 @@ from snpkit import (
     run,
     serialize_system,
 )
+from snpkit import model
 from snpkit.cli import main
 
 from .conftest import simple_systems, two_rule_systems
@@ -193,6 +194,32 @@ def test_unsupported_delayed_rule_is_input_error(tmp_path, capsys, command, rule
     err = capsys.readouterr().err
     assert err.startswith("error: neuron 2:")
     assert "Traceback" not in err
+
+
+def test_verify_finds_the_sources_issues_once(relay_file, capsys, monkeypatch):
+    found = []
+    original = model._issues
+
+    def counted(system):
+        found.append(system.name)
+        return original(system)
+
+    monkeypatch.setattr(model, "_issues", counted)
+    assert main(["verify", relay_file]) == 0
+    assert found.count("relay") == 1
+    assert found.count("relay-delay-free") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+def test_rewrite_over_the_size_limit_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.snp"
+    path.write_text(RELAY_DOC.replace("; 2", "; 100000"))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the delays sum to 100000: the rewrite would add more than 10000 neurons\n"
+    )
+    assert captured.out == ""
 
 
 def test_nondeterministic_system_is_engine_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ from snpkit import (
     Iteration,
     Join,
     Neuron,
+    RewriteTooLarge,
     Rule,
     Sequential,
     SnpSystem,
@@ -232,6 +233,19 @@ class TestEliminateDelays:
     def test_propagates_validation_issues(self):
         with pytest.raises(ValidationError):
             eliminate_delays(SnpSystem((Neuron("1"),), frozenset({("1", "1")}), "1"))
+
+    def test_refuses_a_rewrite_over_the_size_limit_before_building(self, monkeypatch):
+        # each delay is under the limit, their sum is over it
+        half = eliminate.MAX_ADDED_NEURONS // 2 + 1
+        system = SnpSystem(
+            (Neuron("a", 1, (forward(half),)), Neuron("b", 0, (forward(half),))),
+            frozenset({("a", "b")}),
+            "b",
+        )
+        monkeypatch.setattr(eliminate, "build_gadget", None)  # nothing may be built
+        with pytest.raises(RewriteTooLarge, match=f"the delays sum to {2 * half}") as err:
+            eliminate_delays(system)
+        assert isinstance(err.value, ValueError)
 
 
 class TestBatchHazards:

@@ -15,6 +15,7 @@ from snpkit import (
     Sequential,
     SnpSystem,
     SpikeRegex,
+    ValidationError,
     check_count_law,
     co_simulate,
     compose,
@@ -35,7 +36,9 @@ class TestEnvTrajectory:
         assert env_trajectory(generate(Sequential((3,))), 10) == [0, 0, 0, 0, 0, 1]
 
     def test_empty_system(self):
-        assert env_trajectory(SnpSystem((), frozenset(), "out"), 5) == [0]
+        # its output neuron does not exist
+        with pytest.raises(ValidationError, match="output neuron 'out' does not exist"):
+            env_trajectory(SnpSystem((), frozenset(), "out"), 5)
 
     def test_iteration_period(self):
         env = env_trajectory(generate(Iteration(2, "second")), 12)

@@ -16,6 +16,8 @@ from snpkit import (
     SnpSystem,
     SpikeRegex,
     Trace,
+    ValidationError,
+    batch_hazards,
     co_simulate,
     env_trajectory,
     is_halting,
@@ -134,16 +136,34 @@ def test_source_tie_is_raised_before_an_earlier_target_tie():
     assert (err.value.tick, err.value.system) == (4, "source")
 
 
-def test_invalid_delayed_firing_raises_like_step():
-    # run does not validate: a delayed forgetting rule fails where step fails
+def test_invalid_delayed_rule_is_refused_before_a_tick():
+    # step does not validate and fails at the firing; the kernel refuses
+    # the system before tick 0
     delayed_forgetting = Rule(SpikeRegex.multiples(1), 1, 0, 2)
     system = SnpSystem((Neuron("n", 1, (delayed_forgetting,)),), frozenset(), "n")
     with pytest.raises(ValueError, match="positive spike count"):
         step(system, initial_configuration(system))
-    with pytest.raises(ValueError, match="positive spike count"):
-        run(system, 5)
-    with pytest.raises(ValueError, match="positive spike count"):
-        env_trajectory(system, 5)
+    for call in (run, env_trajectory):
+        with pytest.raises(ValidationError, match="forgetting rules cannot be delayed"):
+            call(system, 5)
+
+
+def test_malformed_system_is_refused_everywhere_the_kernel_runs():
+    # at the parent, run simulated this system: the dangling synapse was dropped
+    system = SnpSystem(
+        (Neuron("d", 1, (Rule.semi_homogeneous(1, delay=2),)),),
+        frozenset({("d", "ghost")}),
+        "d",
+    )
+    message = "synapse d -> ghost names unknown neuron ghost"
+    for call in (
+        lambda: run(system, 5),
+        lambda: env_trajectory(system, 5),
+        lambda: co_simulate(system, system, 5),
+        lambda: batch_hazards(system),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 def test_co_simulation_memory_does_not_grow_with_the_bound():
@@ -153,7 +173,7 @@ def test_co_simulation_memory_does_not_grow_with_the_bound():
         "a",
     )
     peaks = []
-    for bound in (10**3, 10**5):
+    for bound in (10**3, 10**4):
         tracemalloc.start()
         try:
             verdict = co_simulate(loop, loop, bound)

@@ -13,12 +13,12 @@ from snpkit import (
     Rule,
     SnpSystem,
     SpikeRegex,
+    ValidationError,
     is_halting,
     run,
     step,
     validate,
 )
-from snpkit.model import DanglingSynapse, DuplicateNeuron, InvalidRule, NegativeSpikes, SelfLoop, UnknownOutput
 from snpkit.semantics import enabled_rules, initial_configuration
 
 from .conftest import assert_trace_invariants, simple_systems
@@ -162,9 +162,10 @@ class TestRun:
         assert trace.outcome == Halted(0)
         assert len(trace.configurations) == 1
 
-    def test_empty_system_halts_immediately(self):
-        trace = run(SnpSystem((), frozenset(), "out"), 5)
-        assert trace.outcome == Halted(0)
+    def test_empty_system_is_refused(self):
+        # its output neuron does not exist
+        with pytest.raises(ValidationError, match="output neuron 'out' does not exist"):
+            run(SnpSystem((), frozenset(), "out"), 5)
 
     def test_looping_system_exhausts_its_budget(self):
         from snpkit import Iteration, generate
@@ -189,21 +190,21 @@ class TestValidate:
 
     def test_self_loop(self):
         system = SnpSystem((Neuron("1"),), frozenset({("1", "1")}), "1")
-        assert SelfLoop("1") in validate(system)
+        assert "self-loop on neuron 1" in validate(system)
 
     def test_unknown_output(self):
         system = SnpSystem((Neuron("1"), Neuron("2"), Neuron("3")), frozenset(), "99")
-        assert validate(system) == [UnknownOutput("99")]
+        assert validate(system) == ["output neuron '99' does not exist"]
 
     def test_dangling_synapse(self):
         system = SnpSystem((Neuron("1"),), frozenset({("1", "ghost")}), "1")
-        assert DanglingSynapse("1", "ghost", "ghost") in validate(system)
+        assert "synapse 1 -> ghost names unknown neuron ghost" in validate(system)
 
     def test_duplicate_ids_and_negative_spikes(self):
         system = SnpSystem((Neuron("1"), Neuron("1", -2)), frozenset(), "1")
         issues = validate(system)
-        assert DuplicateNeuron("1") in issues
-        assert NegativeSpikes("1") in issues
+        assert "neuron id 1 declared more than once" in issues
+        assert "neuron 1 has a negative initial spike count" in issues
 
     def test_rule_invariants(self):
         bad = Neuron(
@@ -216,7 +217,11 @@ class TestValidate:
             ),
         )
         issues = validate(SnpSystem((bad,), frozenset(), "n"))
-        assert [i.rule_index for i in issues if isinstance(i, InvalidRule)] == [0, 1, 2]
+        assert [i.split(":")[0] for i in issues] == [
+            "rule 0 of neuron n",
+            "rule 1 of neuron n",
+            "rule 2 of neuron n",
+        ]
 
 
 @given(simple_systems())

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snpkit import (
+    Configuration,
+    Halted,
     Join,
     ParseError,
     Rule,
@@ -15,6 +17,7 @@ from snpkit import (
     SnpSystem,
     Neuron,
     SpikeRegex,
+    Trace,
     TraceStyle,
     ValidationError,
     eliminate_delays,
@@ -150,6 +153,21 @@ class TestRoundTrip:
         assert document.count("neuron ") == 5
         assert parse_system(document) == target
 
+    @pytest.mark.parametrize(
+        "name, nid, message",
+        [
+            ("s", "a b", "neuron id 'a b'"),
+            ("s", "", "neuron id ''"),
+            ("two words", "n", "system name 'two words'"),
+            ("my#sys", "n", "system name 'my#sys'"),
+            ("", "n", "system name ''"),
+        ],
+    )
+    def test_refuses_what_the_text_cannot_carry(self, name, nid, message):
+        system = SnpSystem((Neuron(nid, 1, (Rule.semi_homogeneous(1),)),), frozenset(), nid, name)
+        with pytest.raises(ValueError, match=message):
+            serialize_system(system)
+
     def test_seeded_random_systems(self):
         rng = random.Random(0x5EED)
         for _ in range(200):
@@ -164,9 +182,9 @@ class TestTraceRendering:
         assert format_configuration(c2, ascii_brackets=True) == "<0/0, 0/2, 0/0, 0>"
 
     def test_environment_only_vector(self):
-        empty = SnpSystem((), frozenset(), "out")
-        trace = run(empty, 5)
+        trace = Trace((Configuration((), 0, 0),), Halted(0))
         assert format_configuration(trace.final) == "⟨0⟩"
+        assert format_trace(trace) == "C0 = ⟨0⟩"
 
     def test_paper_style_lines(self, relay):
         text = format_trace(run(relay, 10), TraceStyle.PAPER)
