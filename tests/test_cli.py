@@ -12,11 +12,11 @@ from snpkit import (
     NondeterministicChoice,
     TraceStyle,
     format_trace,
+    model,
     parse_system,
     run,
     serialize_system,
 )
-from snpkit import model
 from snpkit.cli import main
 
 from .conftest import simple_systems, two_rule_systems

@@ -149,7 +149,7 @@ def test_invalid_delayed_rule_is_refused_before_a_tick():
 
 
 def test_malformed_system_is_refused_everywhere_the_kernel_runs():
-    # at the parent, run simulated this system: the dangling synapse was dropped
+    # a delayed neuron whose dangling synapse the kernel must not silently drop
     system = SnpSystem(
         (Neuron("d", 1, (Rule.semi_homogeneous(1, delay=2),)),),
         frozenset({("d", "ghost")}),
