@@ -181,3 +181,33 @@ def two_rule_systems(draw) -> SnpSystem:
     if pairs:
         synapses = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
     return SnpSystem(tuple(neurons), synapses, draw(st.sampled_from(ids)), "random")
+
+
+@st.composite
+def periodic_systems(draw) -> SnpSystem:
+    """Valid systems whose guards have offsets 0-4 and periods 2-3 (or
+    none), so that over a few hundred ticks counts grow, repeat modulo a
+    period and cross the counts above which a neuron's behaviour depends on
+    the period alone."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 5)))]
+    neurons = []
+    for nid in ids:
+        rules = []
+        for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+            terms = draw(
+                st.lists(
+                    st.tuples(st.integers(0, 4), st.sampled_from((0, 2, 3))),
+                    min_size=1,
+                    max_size=2,
+                )
+            )
+            consume = draw(st.integers(1, 3))
+            produce = draw(st.integers(0, consume))
+            delay = draw(st.integers(0, 3)) if produce else 0
+            rules.append(Rule(SpikeRegex(tuple(terms)), consume, produce, delay))
+        neurons.append(Neuron(nid, draw(st.integers(0, 5)), tuple(rules)))
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    synapses = frozenset()
+    if pairs:
+        synapses = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    return SnpSystem(tuple(neurons), synapses, draw(st.sampled_from(ids)), "random")

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import io
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -57,6 +58,25 @@ neuron n spikes=1
 rule n: a+ / a -> a
 rule n: a^1 / a -> a
 out n
+"""
+
+
+# n0(d=2) -> {n1, n2}, n2 -> n1, {n1, n2} -> n0: neither side halts, and
+# they part at tick 11
+QUEUED_LOOP_DOC = """\
+system queued-loop
+neuron n0 spikes=1
+rule n0: a+ / a -> a ; 2
+neuron n1
+rule n1: a+ / a -> a
+neuron n2
+rule n2: a+ / a -> a
+syn n0 -> n1
+syn n0 -> n2
+syn n2 -> n1
+syn n1 -> n0
+syn n2 -> n0
+out n1
 """
 
 
@@ -131,6 +151,24 @@ def test_verify_divergent_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "first divergence at tick 9" in out
     assert "NOT equivalent" in out
+
+
+def test_verify_stops_once_the_outcome_is_decided(tmp_path, capsys):
+    # every line but the bound is the same at 200 and at 10^6 ticks, and
+    # the long window costs no more than the outcome needs
+    path = tmp_path / "queued.snp"
+    path.write_text(QUEUED_LOOP_DOC)
+    outputs = []
+    for bound in (200, 10**6):
+        start = time.perf_counter()
+        with pytest.warns(UserWarning):
+            assert main(["verify", str(path), "--bound", str(bound)]) == 1
+        elapsed = time.perf_counter() - start
+        outputs.append(capsys.readouterr().out.replace(f" {bound} ", " N "))
+    assert elapsed < 0.5, f"verify --bound 1000000 took {elapsed:.3f} s"
+    assert outputs[0] == outputs[1]
+    assert "first divergence at tick 11: source 4, target 5" in outputs[1]
+    assert "source: no halt within N ticks" in outputs[1]
 
 
 def test_verify_prints_the_hazard_on_every_call(tmp_path, capsys):

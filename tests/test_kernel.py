@@ -1,6 +1,7 @@
 """The event-driven kernel behind ``run``, ``env_trajectory`` and
 ``co_simulate``, differential-tested against ``step`` and ``is_halting``."""
 
+import time
 import tracemalloc
 
 import pytest
@@ -26,7 +27,7 @@ from snpkit import (
 )
 from snpkit.semantics import initial_configuration
 
-from .conftest import simple_systems, two_rule_systems
+from .conftest import periodic_systems, simple_systems, two_rule_systems
 
 systems = st.one_of(simple_systems(), two_rule_systems())
 
@@ -88,9 +89,7 @@ def test_env_trajectory_matches_reference(system, bound):
         assert env_trajectory(system, bound) == [c.environment for c in expected.configurations]
 
 
-@given(systems, systems, st.integers(0, 40))
-@settings(max_examples=200)
-def test_co_simulate_matches_reference(source, target, bound):
+def assert_matches_reference(source, target, bound):
     expected = reference_verdict(source, target, bound)
     verdict = outcome(co_simulate, source, target, bound)
     if isinstance(expected, tuple):
@@ -101,6 +100,61 @@ def test_co_simulate_matches_reference(source, target, bound):
             "at_halt": [verdict.source_env_at_halt, verdict.target_env_at_halt],
             "divergence": verdict.first_divergence,
         } == expected
+
+
+@given(systems, systems, st.integers(0, 40))
+@settings(max_examples=200)
+def test_co_simulate_matches_reference(source, target, bound):
+    assert_matches_reference(source, target, bound)
+
+
+@given(periodic_systems(), periodic_systems(), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_co_simulate_matches_reference_on_long_periodic_runs(source, target, bound):
+    # long enough windows for co-simulation to stop early on a repeat or a
+    # growth proof, with guards whose periods the proof must respect
+    assert_matches_reference(source, target, bound)
+
+
+_FORWARD_ONE = Rule(SpikeRegex.exactly(1), 1)
+_SILENT = SnpSystem((Neuron("z"),), frozenset(), "z")
+
+
+def _fed(rule, feeders):
+    """a and b hold one spike each and fire into each other every tick,
+    which feeds c from each of ``feeders``, until c fires ``rule`` into a;
+    a then holds two spikes, which its guard refuses, and the loop stops.
+    b is the output, so the system parts from ``_SILENT`` at tick 1."""
+    synapses = {("a", "b"), ("b", "a"), ("c", "a")} | {(f, "c") for f in feeders}
+    neurons = (Neuron("a", 1, (_FORWARD_ONE,)), Neuron("b", 1, (_FORWARD_ONE,)), Neuron("c", 0, (rule,)))
+    return SnpSystem(neurons, frozenset(synapses), "b")
+
+
+@pytest.mark.parametrize(
+    "rule, feeders, halt",
+    [
+        # c grows by 2 a tick under a guard of period 3 (counts 5, 8, ...):
+        # 6 and 8 are above the threshold, but a growth of 2 is no period
+        (Rule(SpikeRegex(((5, 3),)), 1), "ab", 6),
+        # c grows by 1 a tick below its threshold (counts 4 and up): the
+        # growth is a period, but the guard still decides on the count
+        (Rule(SpikeRegex(((4, 1),)), 1), "a", 6),
+        # c fires at exactly 110 spikes: the pair parts at tick 1 and the
+        # system halts long after, which the run alone must still find
+        (Rule(SpikeRegex.exactly(110), 1), "a", 112),
+    ],
+    ids=["growth-off-the-period", "growth-below-the-threshold", "late-halt"],
+)
+def test_a_growing_count_is_no_proof_until_it_repeats_the_firings(rule, feeders, halt):
+    system = _fed(rule, feeders)
+    for bound in (halt - 1, halt, 200, 10**6):
+        verdict = co_simulate(system, _SILENT, bound)
+        assert verdict.first_divergence == (1, 1, 0)
+        assert verdict.source_halt == (halt if halt <= bound else None)
+        assert verdict.source_env_at_halt == (halt if halt <= bound else None)
+        assert verdict.target_halt == 0
+    assert_matches_reference(system, _SILENT, 200)
+    assert_matches_reference(_SILENT, system, 200)
 
 
 def _tie_at(tick):
@@ -166,17 +220,38 @@ def test_malformed_system_is_refused_everywhere_the_kernel_runs():
             call()
 
 
-def test_co_simulation_memory_does_not_grow_with_the_bound():
+def test_a_malformed_target_is_refused_before_the_source_runs():
     loop = SnpSystem(
-        (Neuron("a", 1, (Rule.semi_homogeneous(1),)), Neuron("b", 0, (Rule.semi_homogeneous(1),))),
+        (Neuron("a", 1, (Rule.semi_homogeneous(1),)), Neuron("b", 1, (Rule.semi_homogeneous(1),))),
         frozenset({("a", "b"), ("b", "a")}),
+        "a",
+    )
+    dangling = SnpSystem((Neuron("d", 1, (Rule.semi_homogeneous(1),)),), frozenset({("d", "ghost")}), "d")
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="names unknown neuron ghost"):
+        co_simulate(loop, dangling, 10**6)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_co_simulation_memory_does_not_grow_with_the_bound():
+    # a and b fire into each other and into c on every tick; c's guard is
+    # a single spike, so its count grows 0, 2, 4, ... and the joint state
+    # never repeats: co-simulation runs to the bound
+    forward = Rule.semi_homogeneous(1)
+    growing = SnpSystem(
+        (
+            Neuron("a", 1, (forward,)),
+            Neuron("b", 1, (forward,)),
+            Neuron("c", 0, (Rule(SpikeRegex.exactly(1), 1),)),
+        ),
+        frozenset({("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")}),
         "a",
     )
     peaks = []
     for bound in (10**3, 10**4):
         tracemalloc.start()
         try:
-            verdict = co_simulate(loop, loop, bound)
+            verdict = co_simulate(growing, growing, bound)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
