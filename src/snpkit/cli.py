@@ -102,6 +102,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     system = _load(args.file)
+    if args.bound < 0:
+        raise ValueError("bound must be >= 0")
     result = eliminate_delays(system)
     for line in _warnings(result):
         print(line)

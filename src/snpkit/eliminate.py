@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
-from .semantics import Kernel, NondeterministicChoice
+from .semantics import Kernel, NondeterministicChoice, Recurrence
 
 
 # The most neurons the rewrite may add: the sum of the eliminated delays.
@@ -305,29 +305,23 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
 
 # --- the overlap check: one run of the source --------------------------------
 #
-# The rewrite is exact when no batch reaches a closed neuron and no delayed
-# neuron fires with a batch queued.  The source loses a batch that
-# reaches it closed, where the subnet keeps it; and a delayed neuron whose
-# leftover spikes still enable its rule fires again only after it reopens,
-# where the multipliers fire again on the next tick.  Every system the
-# engine accepts is deterministic, so it has one run, and the check follows
-# that run on the kernel until the first such event, halting, or a repeated
-# configuration.  Repeats are found with Brent's method, which keeps one
-# saved copy of the state, so memory does not grow with ticks.
+# Every system the engine accepts is deterministic, so the source has one
+# run.  The check follows it on the kernel until the first event that breaks
+# exactness, halting, or a recurrence (``semantics.Recurrence``), after
+# which every tick repeats one already checked.
 
 _HAZARD_TICKS = 10_000
 
 
 def batch_hazards(system: SnpSystem) -> list[str]:
     """The first event of the source's run that the rewrite does not
-    reproduce, as a one-item list; [] when the run halts or repeats a
-    configuration without one.  A run that meets a tie, or neither halts
-    nor repeats within a fixed number of ticks, is reported undecided."""
+    reproduce, as a one-item list; [] when the run halts or recurs without
+    one.  A run that meets a tie, or neither halts nor recurs within a
+    fixed number of ticks, is reported undecided."""
     if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
         return []
     kernel = Kernel(system)
-    state = (kernel.spikes, kernel.countdown, kernel.pending)
-    saved, power, steps = None, 1, 0
+    recurrence = Recurrence(kernel)
     try:
         for tick, _, halted in kernel.ticks(_HAZARD_TICKS):
             if kernel.event is not None:
@@ -342,16 +336,11 @@ def batch_hazards(system: SnpSystem) -> list[str]:
                     "the source fires the queued batch after reopening, "
                     "the delay-free target at once"
                 ]
-            if halted or state == saved:
+            if halted or recurrence.recurs():
                 return []
-            steps += 1
-            if steps == power:
-                saved = tuple(part.copy() for part in state)
-                power *= 2
-                steps = 0
     except NondeterministicChoice as err:
         return [f"undecided at tick {err.tick}: neuron {err.neuron} has several enabled rules"]
     return [
-        f"undecided at tick {tick}: the source neither halts nor repeats a "
-        f"configuration within {_HAZARD_TICKS} ticks"
+        f"undecided at tick {tick}: the source neither halts nor recurs "
+        f"within {_HAZARD_TICKS} ticks"
     ]

@@ -9,31 +9,19 @@ For pairs that do not halt within the comparison window, the verdict
 falls back to tick-pointwise equality of the environment trajectories,
 which is stricter than R1/R2 wherever both apply.
 
-Both systems are deterministic, so co-simulation stops as soon as the rest
-of the window cannot change the verdict, and returns exactly the verdict
-of a run to the bound.  Two arguments make the stop exact (``co_simulate``
-gives them in full):
-
-* Before the first divergence: once the joint state of both systems
-  repeats, each environment gains from then on what it gained one period
-  earlier, so the environments agree at every later tick, and a system
-  still running never halts.
-* After it, only the halting ticks are left to find.  A system that has
-  not halted never will once its state recurs up to counts that grew by
-  whole guard periods while staying above every count at which a guard or
-  a consumption still decides on the count itself: every later tick then
-  fires the rules of the tick one period earlier.
+Both systems are deterministic, so co-simulation stops once a run provably
+repeats itself (``semantics.Recurrence``) and the rest of the window cannot
+change the verdict, and returns exactly the verdict of a run to the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterator
 
 from .eliminate import TransformResult
 from .model import SnpSystem
-from .semantics import Kernel, NondeterministicChoice
+from .semantics import Kernel, NondeterministicChoice, Recurrence
 
 
 @dataclass(frozen=True)
@@ -74,36 +62,15 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     both fail.  Environment trajectories are compared pointwise over the
     whole window, extending a halted system's count as constant.
 
-    The result is the one a run of both systems to ``bound`` gives, but the
-    run stops as soon as the rest of the window cannot change it.
-
-    Until the first divergence both systems advance in lock step, and
-    their joint state (spikes, countdown and pending on both sides, a
-    halted side's frozen) is checked for a repeat with Brent's method.  If
-    the state at tick t equals the one saved at tick t - P, a side still
-    running never halts, and from tick t each side's environment gains, tick
-    by tick, what it gained from tick t - P.  The environments agree at
-    every tick up to t, so they agree at every later tick.  Checks start
-    once the tick reaches the larger side's neuron count, so that a run
-    that halts sooner does not pay for them; a later start only delays the
-    stop.
-
-    After the first divergence only the halting ticks are left to find, so
-    each side runs on alone until it halts, reaches the bound or provably
-    never halts.  The proof compares the side's state at tick t with the
-    one saved at tick s (Brent's method again): countdowns and pending
-    batches are equal, and every neuron either holds the same count, or
-    has grown by a multiple of L, the lcm of its guards' periods (1 with
-    none), and held at least T = max(largest guard offset + 1, largest
-    consumption) spikes (0 with no rules) at every tick from s to t.  At T
-    spikes or more every consumption is covered and no guard can match on
-    an offset alone, so which rules are enabled depends on the count
-    modulo L only.  So tick t fires the same rules as tick s, loses and
-    delivers the same batches and meets the same ties, and the next state
-    again differs from the one a period earlier by the same growth; by
-    induction every tick after t repeats the tick one period earlier,
-    counts stay at T or more, and since no tick from s to t halted or tied,
-    the side never halts.
+    The result is that of a run of both systems to ``bound``, but the run
+    stops once the rest of the window cannot change it.  Until the first
+    divergence one ``Recurrence`` watches both systems, a halted side
+    frozen.  From a recurrence on, a side still running never halts, and
+    each environment gains what it gained one period earlier, the same on
+    both sides as they agreed at both ends of the period.  After the first
+    divergence each side runs on alone until it halts, reaches the bound or
+    recurs.  Checks start once the tick reaches the larger side's neuron
+    count: a run that halts sooner does not pay for them.
 
     Only the kernels' state and one saved copy of it are kept, so memory
     does not grow with the bound.  A malformed system raises
@@ -115,9 +82,8 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
         raise ValueError("bound must be >= 0")
     src, tgt = Kernel(source), Kernel(target)
     src_ticks, tgt_ticks = src.ticks(bound), tgt.ticks(bound)
-    state = (src.spikes, src.countdown, src.pending, tgt.spikes, tgt.countdown, tgt.pending)
-    gate = max(len(src.spikes), len(tgt.spikes))
-    saved, power, steps = None, 1, 0
+    joint = Recurrence(src, tgt)
+    start = max(len(source.neurons), len(target.neurons))
     source_halt = target_halt = first_divergence = None
     try:
         while True:
@@ -136,14 +102,8 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
                 break
             if tick == bound or (source_halt is not None and target_halt is not None):
                 break
-            if tick >= gate:
-                if state == saved:
-                    break
-                steps += 1
-                if steps == power:
-                    saved = tuple(part.copy() for part in state)
-                    power *= 2
-                    steps = 0
+            if tick >= start and joint.recurs():
+                break
     except NondeterministicChoice as err:
         err.system = side
         if side == "target" and source_halt is None:
@@ -173,44 +133,17 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     )
 
 
-def _halting(
-    kernel: Kernel, ticks: Iterator[tuple[int, int, bool]], label: str
-) -> tuple[int | None, int | None]:
+def _halting(kernel: Kernel, ticks: Iterator, label: str) -> tuple[int | None, int | None]:
     """``(halting tick, environment)`` of one side run on alone from where
-    ``ticks`` stands, or ``(None, None)`` once it reaches the bound or its
-    state recurs as ``co_simulate`` describes, so that it never halts.
-    ``label`` names the side on a NondeterministicChoice.
-    """
-    spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
-    periods, floors = [], []
-    for rules in kernel.rules:
-        period, floor = 1, 0
-        for terms, consume, _, _ in rules:
-            floor = max(floor, consume, *(offset + 1 for offset, _ in terms))
-            period = lcm(period, *(p for _, p in terms if p))
-        periods.append(period)
-        floors.append(floor)
-    saved = low = None
-    power, steps = 1, 0
+    ``ticks`` stands, or ``(None, None)`` once it reaches the bound or
+    recurs.  ``label`` names the side on a NondeterministicChoice."""
+    recurrence = Recurrence(kernel)
     try:
         for tick, environment, halted in ticks:
             if halted:
                 return tick, environment
-            if tick < len(spikes):
-                continue
-            if saved is not None:
-                low = list(map(min, low, spikes))
-                if countdown == saved[1] and pending == saved[2] and all(
-                    k == j or (k > j and (k - j) % p == 0 and m >= f)
-                    for k, j, p, m, f in zip(spikes, saved[0], periods, low, floors)
-                ):
-                    return None, None
-            steps += 1
-            if steps == power:
-                saved = (spikes.copy(), countdown.copy(), pending.copy())
-                low = saved[0]
-                power *= 2
-                steps = 0
+            if tick >= len(kernel.ids) and recurrence.recurs():
+                return None, None
     except NondeterministicChoice as err:
         err.system = label
         raise

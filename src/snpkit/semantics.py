@@ -9,6 +9,7 @@ and the parked emission is released the moment it reopens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator
 
 from .model import Neuron, SnpSystem, SpikeRegex, check
@@ -208,16 +209,16 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
     configs = [config]
     states = list(config.states)
     interned: dict[tuple[int, int, int], NeuronState] = {}
-    touched: set[int] = set()
-    ticks = kernel.ticks(max_steps, touched)
+    ticks = kernel.ticks(max_steps)
     tick, environment, halted = next(ticks)
     for tick, environment, halted in ticks:
-        for i in touched:
-            key = (spikes[i], countdown[i], pending[i])
-            state = interned.get(key)
-            if state is None:
-                state = interned[key] = NeuronState(key[0], key[1], key[2] or None)
-            states[i] = state
+        for touched in kernel.touched:
+            for i in touched:
+                key = (spikes[i], countdown[i], pending[i])
+                state = interned.get(key)
+                if state is None:
+                    state = interned[key] = NeuronState(key[0], key[1], key[2] or None)
+                states[i] = state
         configs.append(Configuration(tuple(states), environment, tick))
     return Trace(tuple(configs), Halted(tick) if halted else BudgetExhausted())
 
@@ -231,10 +232,11 @@ class Kernel:
     and ``pending`` (the parked emission, 0 while open).
 
     A tick touches only the closed neurons and the open neurons whose spike
-    count changed since they were last checked; every other open neuron
-    was found to have no enabled rule at the count it still holds.  The
-    same check decides halting: a configuration halts when no neuron is
-    closed and no checked neuron has an enabled rule.
+    count changed since they were last checked, which ``touched`` holds
+    while a configuration is yielded; every other open neuron was found to
+    have no enabled rule at the count it still holds.  The same check
+    decides halting: a configuration halts when no neuron is closed and no
+    checked neuron has an enabled rule.
 
     A malformed system is refused with ValidationError when the kernel is
     built, so a tick trusts every rule it fires.
@@ -259,17 +261,13 @@ class Kernel:
         self.pending = [0] * len(neurons)
         self.event: tuple[str, int, int] | None = None
 
-    def ticks(
-        self, max_steps: int, touched: set[int] | None = None
-    ) -> Iterator[tuple[int, int, bool]]:
+    def ticks(self, max_steps: int) -> Iterator[tuple[int, int, bool]]:
         """Advance the state in place, yielding ``(tick, environment, halted)``
         for every configuration from tick 0.
 
         The last item is the first halting configuration (``halted`` true) or
-        the one at tick ``max_steps``.  The state lists hold the yielded
-        configuration until the generator is resumed.  If ``touched`` is
-        given, each tick refills it with the indices whose state the tick
-        may have changed.
+        the one at tick ``max_steps``.  The state lists and ``touched`` hold
+        the yielded configuration until the generator is resumed.
 
         Raises NondeterministicChoice, like ``step``, when a tick to be
         computed would start with several rules enabled in one neuron.
@@ -283,6 +281,7 @@ class Kernel:
         environment = 0
         tick = 0
         while True:
+            self.touched = closed, dirty
             firing = []
             ties = []
             for i in dirty:
@@ -345,7 +344,83 @@ class Kernel:
                         event = self.event = ("lost", target, tick + 1)
                 if origin == output:
                     environment += batch
-            if touched is not None:
-                touched.clear()
-                touched.update(closed, dirty)
             tick += 1
+
+
+class Recurrence:
+    """Proof that kernels advanced in lock step repeat themselves forever.
+
+    Call ``recurs`` once per tick from some tick on, after each kernel that
+    still runs has yielded the tick; a halted kernel stays as it stopped.
+    Brent's cycle detection (Brent, *BIT* 20, 1980) saves the state at the
+    first call and after 2, 4, 8, ... more, and compares each call with the
+    copy saved last.  The state at tick t recurs the one saved at tick s
+    when, on every kernel, countdowns and pending batches are equal and
+    each count is equal or has grown by a multiple of L while staying at T
+    or more from s to t.  L is the lcm of the neuron's guard periods (1
+    with none); T is max(largest guard offset + 1, largest consumption).
+
+    Why that is a proof: from T spikes on, every consumption is covered and
+    no guard matches on an offset alone, so the enabled rules depend on the
+    count modulo L only.  So tick t + 1 fires, reopens, loses, delivers and
+    emits as tick s + 1 did, with the same ties, and its state relates to
+    s + 1's as t's does to s's; the ``"queued"`` test repeats too, since the
+    count a delayed rule leaves is the closed neuron's count at the next
+    tick.  So every tick after t repeats the tick t - s earlier: a kernel
+    halted at t had halted by s, one running never halts, and no tie or
+    event comes after t that did not come between s and t.
+    """
+
+    def __init__(self, *kernels: Kernel):
+        # per kernel: (L, T) once needed, saved state, lows since, neurons apart
+        self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set()) for k in kernels]
+        self.power, self.steps = 1, 0  # power > 1 once a copy is saved
+
+    def recurs(self) -> bool:
+        """Whether the state recurs the copy saved last, at the cost of the
+        touched neurons: only those can change how they relate."""
+        if self.power > 1:
+            related = True
+            for kernel, bounds, spikes, countdown, pending, low, apart in self.sides:
+                now, closing, parked = kernel.spikes, kernel.countdown, kernel.pending
+                for touched in kernel.touched:
+                    for i in touched:
+                        k = now[i]
+                        if k < low[i]:
+                            low[i] = k
+                        if closing[i] != countdown[i] or parked[i] != pending[i] or k < spikes[i]:
+                            apart.add(i)
+                        elif k == spikes[i]:
+                            apart.discard(i)
+                        else:
+                            period, floor = bounds.get(i) or bounds.setdefault(
+                                i, _period_and_floor(kernel.rules[i])
+                            )
+                            if (k - spikes[i]) % period or low[i] < floor:
+                                apart.add(i)
+                            else:
+                                apart.discard(i)
+                if apart:
+                    related = False
+            if related:
+                return True
+        self.steps += 1
+        if self.steps == self.power:
+            self.sides = [
+                (k, bounds, k.spikes.copy(), k.countdown.copy(), k.pending.copy(), k.spikes.copy(), set())
+                for k, bounds, *_ in self.sides
+            ]
+            self.power *= 2
+            self.steps = 0
+        return False
+
+
+def _period_and_floor(rules: tuple) -> tuple[int, int]:
+    """L and T, as ``Recurrence`` defines them, of a neuron's kernel rules."""
+    period, floor = 1, 0
+    for terms, consume, _, _ in rules:
+        for offset, p in terms:
+            floor = max(floor, offset + 1)
+            period = lcm(period, p or 1)
+        floor = max(floor, consume)
+    return period, floor

@@ -395,6 +395,13 @@ def test_negative_budget_is_rejected_before_any_output(relay_file):
     assert sim([relay_file, "--max-steps", "-1"]) == (2, "", "error: max_steps must be >= 0\n")
 
 
+def test_negative_bound_is_rejected_before_any_output(tmp_path, capsys):
+    path = tmp_path / "hazard.snp"
+    path.write_text(LOOP_HAZARD_DOC)  # the rewrite would print a warning line
+    assert main(["verify", str(path), "--bound", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: bound must be >= 0\n")
+
+
 class Discard:
     def write(self, text: str) -> int:
         return len(text)

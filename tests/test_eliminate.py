@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snpkit import (
     BatchOverlapWarning,
@@ -28,8 +29,9 @@ from snpkit import (
     generate,
 )
 from snpkit.eliminate import IdAllocator, InvalidDelay, build_gadget, normalize_initial
+from snpkit.semantics import Kernel
 
-from .conftest import simple_systems
+from .conftest import periodic_systems, simple_systems, two_rule_systems
 
 
 def forward(delay=0):
@@ -412,10 +414,10 @@ class TestBatchHazards:
         )
         assert batch_hazards(tied) == ["undecided at tick 1: neuron n has several enabled rules"]
 
-    def test_unbounded_growth_is_undecided(self, monkeypatch):
-        # n3 gains a spike every tick, so no configuration repeats; the
-        # delayed neuron n1 never fires.  Memory stays flat however long
-        # the check runs.
+    def test_growth_above_the_floor_recurs(self):
+        # n3 gains a spike every tick, so no configuration repeats, but its
+        # guard a+ decides on nothing above one spike; the delayed neuron n1
+        # never fires
         growing = SnpSystem(
             (
                 Neuron("n0", 0, (forward(),)),
@@ -426,6 +428,23 @@ class TestBatchHazards:
             frozenset({("n0", "n3"), ("n2", "n3"), ("n3", "n0"), ("n3", "n2")}),
             "n1",
         )
+        assert batch_hazards(growing) == []
+
+    def test_unbounded_growth_is_undecided(self, monkeypatch):
+        # a and b fire into each other and into c, whose count grows below
+        # the single count its guard accepts, so the run never recurs; the
+        # delayed neuron d never fires.  Memory stays flat however long the
+        # check runs.
+        growing = SnpSystem(
+            (
+                Neuron("a", 1, (forward(),)),
+                Neuron("b", 1, (forward(),)),
+                Neuron("c", 0, (Rule(SpikeRegex.exactly(10**6), 1),)),
+                Neuron("d", 0, (forward(delay=1),)),
+            ),
+            frozenset({("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")}),
+            "d",
+        )
         peaks = []
         for budget in (1_000, eliminate._HAZARD_TICKS):
             monkeypatch.setattr(eliminate, "_HAZARD_TICKS", budget)
@@ -435,7 +454,10 @@ class TestBatchHazards:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert hazard.startswith(f"undecided at tick {budget}:")
+            assert hazard == (
+                f"undecided at tick {budget}: the source neither halts nor recurs "
+                f"within {budget} ticks"
+            )
         assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
 
 
@@ -448,3 +470,16 @@ def test_no_hazard_means_equivalent(system):
         return
     if not result.hazards:
         assert co_simulate(result.normalized_source, result.target, 100).equivalent
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(periodic_systems(), two_rule_systems()))
+def test_no_hazard_means_no_event_in_a_long_run(system):
+    # a recurrence must also repeat the kernel's "queued" test, which reads
+    # the count a delayed rule leaves, not the count the recurrence compares
+    if batch_hazards(system) or not any(r.delayed for n in system.neurons for r in n.rules):
+        return
+    kernel = Kernel(system)
+    for _ in kernel.ticks(2_000):
+        pass
+    assert kernel.event is None

@@ -25,7 +25,7 @@ from snpkit import (
     run,
     step,
 )
-from snpkit.semantics import initial_configuration
+from snpkit.semantics import Kernel, initial_configuration
 
 from .conftest import periodic_systems, simple_systems, two_rule_systems
 
@@ -157,6 +157,16 @@ def test_a_growing_count_is_no_proof_until_it_repeats_the_firings(rule, feeders,
     assert_matches_reference(_SILENT, system, 200)
 
 
+def test_a_shrinking_count_is_no_proof():
+    # c spends one of its 100 spikes a tick, a whole period of its guard
+    # a+ each time and far above the threshold, until none is left
+    spender = SnpSystem((Neuron("c", 100, (Rule.semi_homogeneous(1),)),), frozenset(), "c")
+    verdict = co_simulate(spender, _SILENT, 10**6)
+    assert verdict.first_divergence == (1, 1, 0)
+    assert (verdict.source_halt, verdict.source_env_at_halt) == (100, 100)
+    assert_matches_reference(spender, _SILENT, 200)
+
+
 def _tie_at(tick):
     """A relay whose last neuron has two rules enabled by the spike that
     reaches it at ``tick - 1``, so computing ``tick`` raises."""
@@ -233,22 +243,37 @@ def test_a_malformed_target_is_refused_before_the_source_runs():
     assert time.perf_counter() - start < 0.1
 
 
-def test_co_simulation_memory_does_not_grow_with_the_bound():
-    # a and b fire into each other and into c on every tick; c's guard is
-    # a single spike, so its count grows 0, 2, 4, ... and the joint state
-    # never repeats: co-simulation runs to the bound
+def _fed_loop(guard):
+    """a and b fire into each other and into c on every tick, so c's count
+    grows 0, 2, 4, ... under ``guard``."""
     forward = Rule.semi_homogeneous(1)
-    growing = SnpSystem(
+    return SnpSystem(
         (
             Neuron("a", 1, (forward,)),
             Neuron("b", 1, (forward,)),
-            Neuron("c", 0, (Rule(SpikeRegex.exactly(1), 1),)),
+            Neuron("c", 0, (Rule(guard, 1),)),
         ),
         frozenset({("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")}),
         "a",
     )
+
+
+def test_co_simulation_memory_does_not_grow_with_the_bound(monkeypatch):
+    # c's count grows below the single count its guard accepts, so the
+    # joint state never recurs and co-simulation runs to the bound
+    growing = _fed_loop(SpikeRegex.exactly(10**6))
+    ticks, yielded = Kernel.ticks, 0
+
+    def counted(kernel, max_steps):
+        nonlocal yielded
+        for item in ticks(kernel, max_steps):
+            yielded += 1
+            yield item
+
+    monkeypatch.setattr(Kernel, "ticks", counted)
     peaks = []
     for bound in (10**3, 10**4):
+        yielded = 0
         tracemalloc.start()
         try:
             verdict = co_simulate(growing, growing, bound)
@@ -256,4 +281,16 @@ def test_co_simulation_memory_does_not_grow_with_the_bound():
         finally:
             tracemalloc.stop()
         assert verdict.source_halt is None and verdict.first_divergence is None
+        assert yielded == 2 * (bound + 1)  # both sides, ticks 0..bound
     assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
+
+
+def test_growth_above_every_guard_offset_stops_co_simulation():
+    # c's count grows by two a tick above the single count its guard
+    # accepts, so the run recurs at once, however long the window
+    growing = _fed_loop(SpikeRegex.exactly(1))
+    start = time.perf_counter()
+    verdict = co_simulate(growing, growing, 10**6)
+    elapsed = time.perf_counter() - start
+    assert verdict.source_halt is None and verdict.trajectory_equal_through == 10**6
+    assert elapsed < 0.5, f"co-simulation to 10^6 ticks took {elapsed:.3f} s"
