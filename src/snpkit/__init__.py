@@ -12,9 +12,10 @@ from .eliminate import (
     TransformResult,
     UnsupportedDelayedRule,
     batch_hazards,
+    check_count_law,
     eliminate_delays,
 )
-from .equivalence import Verdict, check_count_law, co_simulate, env_trajectory
+from .equivalence import Verdict, co_simulate, env_trajectory
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
 from .routing import Iteration, Join, Sequential, Split, compose, generate
 from .semantics import (

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 
-from .eliminate import TransformResult, UnsupportedDelayedRule, eliminate_delays
+from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedRule, eliminate_delays
 from .equivalence import co_simulate
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
@@ -219,5 +220,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ENGINE
 
 
+def console() -> int:
+    """The ``snpkit`` program.  Each hazard is already a ``warning:`` line on
+    stdout, so the program does not show its ``BatchOverlapWarning`` too;
+    ``main`` still issues it to in-process callers."""
+    warnings.simplefilter("ignore", BatchOverlapWarning)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -6,12 +6,13 @@ reproduces the delay with plain rules:
 * d-1 *multipliers* copy the incoming batch,
 * one *drain* re-collects the copies and meters them out one firing per
   tick, which costs d-1 ticks,
-* one *exit* waits for d-1 spikes and then emits a single spike.
+* one *exit* waits for max(d-1, 1) spikes and then emits a single spike.
 
 End to end the subnet forwards a batch exactly d+1 ticks after receiving
 it, matching the replaced neuron (one tick to fire, d ticks closed).  For
-d = 1 the subnet degenerates to a drain/exit pair: one extra hop equals
-one tick of delay.  Each replacement adds exactly d neurons net.
+d = 1 the same construction has no multipliers: the drain feeds the exit
+one spike, and the extra hop is the tick of delay.  Each replacement adds
+exactly d neurons net (the count law, ``check_count_law``).
 
 A neuron that both holds initial spikes and owns a delayed rule first has
 its spikes moved to a fresh feeder neuron; the feeder goes into source and
@@ -33,10 +34,6 @@ from .semantics import Kernel, NondeterministicChoice, Recurrence
 
 # The most neurons the rewrite may add: the sum of the eliminated delays.
 MAX_ADDED_NEURONS = 10_000
-
-
-class InvalidDelay(ValueError):
-    """Asked to build a delay subnet for delay 0 (nothing to eliminate)."""
 
 
 class RewriteTooLarge(ValueError):
@@ -83,23 +80,17 @@ class IdAllocator:
 
 @dataclass(frozen=True)
 class GadgetPlan:
-    """Ids and parameters of one replacement subnet.
+    """Ids of one replacement subnet.  Entry points (the multipliers, or the
+    drain when there are none) take over the replaced neuron's in-synapses;
+    the exit takes over its out-synapses."""
 
-    ``j`` is the spike batch the replaced rule consumed per firing, ``d``
-    its delay.  Entry points take over the replaced neuron's in-synapses;
-    the exit takes over its out-synapses.
-    """
-
-    source_id: str
-    j: int
-    d: int
     multiplier_ids: tuple[str, ...]
     drain_id: str
     exit_id: str
 
     @property
     def entry_ids(self) -> tuple[str, ...]:
-        return self.multiplier_ids if self.d >= 2 else (self.drain_id,)
+        return self.multiplier_ids or (self.drain_id,)
 
 
 @dataclass(frozen=True)
@@ -135,6 +126,12 @@ class TransformResult:
             for rule in neuron.rules
             if rule.delayed
         ]
+
+
+def check_count_law(result: TransformResult) -> bool:
+    """Added neurons, net of feeders, must equal the sum of the delays
+    eliminated from the normalized source."""
+    return result.added_count - len(result.feeders) == sum(result.delays)
 
 
 def _delayed_rule(neuron: Neuron) -> Rule | None:
@@ -193,29 +190,20 @@ def build_gadget(
 ) -> tuple[GadgetPlan, tuple[Neuron, ...], frozenset[tuple[str, str]]]:
     """Build the replacement subnet for a delayed rule (a^j)+ / a^j -> a ; d.
 
-    For d >= 2: d-1 multipliers (a^j)+ / a^j -> a^j, a drain
-    (a^j)+ / a^j -> a, and an exit (a^(d-1))+ / a^(d-1) -> a, wired
-    multipliers -> drain -> exit.  For d = 1: just drain -> exit with the
-    exit passing single spikes through.
+    d-1 multipliers (a^j)+ / a^j -> a^j, a drain (a^j)+ / a^j -> a, and an
+    exit (a^e)+ / a^e -> a with e = max(d-1, 1), wired multipliers ->
+    drain -> exit.  For d = 1 there are no multipliers and the exit passes
+    single spikes through.  Raises ValueError unless j >= 1 and d >= 1.
     """
-    if d == 0:
-        raise InvalidDelay("delay 0 needs no gadget")
-    if j < 1 or d < 0:
+    if j < 1 or d < 1:
         raise ValueError("need j >= 1 and d >= 1")
-    if d == 1:
-        drain = Neuron(alloc.fresh(f"{source_id}-1"), 0, (Rule(SpikeRegex.multiples(j), j, 1),))
-        exit_ = Neuron(alloc.fresh(f"{source_id}-exit"), 0, (Rule.semi_homogeneous(1),))
-        plan = GadgetPlan(source_id, j, d, (), drain.id, exit_.id)
-        return plan, (drain, exit_), frozenset({(drain.id, exit_.id)})
     multipliers = tuple(
         Neuron(alloc.fresh(f"{source_id}-{i}"), 0, (Rule(SpikeRegex.multiples(j), j, j),))
         for i in range(1, d)
     )
-    drain = Neuron(alloc.fresh(f"{source_id}-{d}"), 0, (Rule(SpikeRegex.multiples(j), j, 1),))
-    exit_ = Neuron(
-        alloc.fresh(f"{source_id}-exit"), 0, (Rule(SpikeRegex.multiples(d - 1), d - 1, 1),)
-    )
-    plan = GadgetPlan(source_id, j, d, tuple(m.id for m in multipliers), drain.id, exit_.id)
+    drain = Neuron(alloc.fresh(f"{source_id}-{d}"), 0, (Rule.semi_homogeneous(j),))
+    exit_ = Neuron(alloc.fresh(f"{source_id}-exit"), 0, (Rule.semi_homogeneous(max(d - 1, 1)),))
+    plan = GadgetPlan(tuple(m.id for m in multipliers), drain.id, exit_.id)
     synapses = {(m.id, drain.id) for m in multipliers}
     synapses.add((drain.id, exit_.id))
     return plan, multipliers + (drain, exit_), frozenset(synapses)
@@ -246,7 +234,7 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
         )
 
     plans: dict[str, GadgetPlan] = {}
-    internal: set[tuple[str, str]] = set()
+    synapses: set[tuple[str, str]] = set()
     alloc = IdAllocator(n.id for n in normalized.neurons)
     target_neurons: list[Neuron] = []
     provenance: dict[str, Provenance] = {}
@@ -269,20 +257,17 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
             rule.consume, rule.delay, alloc, neuron.id
         )
         plans[neuron.id] = plan
-        internal |= gadget_synapses
+        synapses |= gadget_synapses
         target_neurons.extend(gadget_neurons)
         for i, m in enumerate(plan.multiplier_ids, start=1):
             provenance[m] = Provenance(neuron.id, "multiplier", i)
         provenance[plan.drain_id] = Provenance(neuron.id, "drain")
         provenance[plan.exit_id] = Provenance(neuron.id, "exit")
 
-    synapses: set[tuple[str, str]] = set(internal)
     for a, b in normalized.synapses:
-        sources = (plans[a].exit_id,) if a in plans else (a,)
-        targets = plans[b].entry_ids if b in plans else (b,)
-        for s in sources:
-            for t in targets:
-                synapses.add((s, t))
+        s = plans[a].exit_id if a in plans else a
+        for t in plans[b].entry_ids if b in plans else (b,):
+            synapses.add((s, t))
 
     output = plans[normalized.output].exit_id if normalized.output in plans else normalized.output
     target = SnpSystem(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .eliminate import TransformResult
 from .model import SnpSystem
 from .semantics import Kernel, NondeterministicChoice, Recurrence
 
@@ -148,9 +147,3 @@ def _halting(kernel: Kernel, ticks: Iterator, label: str) -> tuple[int | None, i
         err.system = label
         raise
     return None, None
-
-
-def check_count_law(result: TransformResult) -> bool:
-    """Added neurons, net of feeders, must equal the sum of the delays
-    eliminated from the normalized source."""
-    return result.added_count - len(result.feeders) == sum(result.delays)

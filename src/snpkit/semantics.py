@@ -53,10 +53,6 @@ class NeuronState:
         if self.pending_emission is not None and self.pending_emission < 1:
             raise ValueError("pending emission must be a positive spike count")
 
-    @property
-    def open(self) -> bool:
-        return self.closed_remaining == 0
-
 
 @dataclass(frozen=True)
 class Configuration:

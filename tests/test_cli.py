@@ -1,18 +1,25 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import io
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snpkit import (
+    Join,
     NondeterministicChoice,
+    Sequential,
     TraceStyle,
     format_trace,
+    generate,
     model,
     parse_system,
     run,
@@ -185,6 +192,33 @@ def test_verify_prints_the_hazard_on_every_call(tmp_path, capsys):
         assert lines[1].startswith("source: ")
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["-m", "snpkit.cli"],
+        # the call the installed `snpkit` script makes
+        ["-c", "import sys; from snpkit.cli import console; sys.exit(console())"],
+    ],
+    ids=["module", "script"],
+)
+def test_program_prints_each_hazard_once(tmp_path, entry):
+    path = tmp_path / "hazard.snp"
+    path.write_text(LOOP_HAZARD_DOC)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "default", *entry, "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert [line for line in done.stdout.splitlines() if line.startswith("warning:")] == [
+        "warning: neuron S is closed when a spike batch reaches it at tick 4; "
+        "the source loses the batch, the delay-free target keeps it"
+    ]
+
+
 def test_gen_round_trips(capsys):
     assert main(["gen", "sequential", "--d", "3"]) == 0
     doc = capsys.readouterr().out
@@ -203,6 +237,28 @@ def test_gen_round_trips(capsys):
 def test_gen_missing_arguments(capsys):
     assert main(["gen", "join"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        (["sequential", "--d1", "2", "--d2", "3"], Sequential((2, 3))),
+        (["join", "--d", "2"], Join(2)),
+        (["sequential", "--d1", "2"], "sequential with two delays needs both --d1 and --d2"),
+        (["sequential"], "sequential needs --d or --d1/--d2"),
+        (["iteration"], "iteration needs --d"),
+        (["join"], "join needs --d"),
+        (["split"], "split needs --d1 (left) and/or --d2 (right)"),
+    ],
+)
+def test_gen_emits_the_instance_or_names_the_missing_delay(argv, instance, capsys):
+    if isinstance(instance, str):
+        assert main(["gen", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {instance}\n")
+    else:
+        assert main(["gen", *argv]) == 0
+        assert parse_system(capsys.readouterr().out) == generate(instance)
 
 
 def test_dot_output(relay_file, capsys):

@@ -28,7 +28,7 @@ from snpkit import (
     env_trajectory,
     generate,
 )
-from snpkit.eliminate import IdAllocator, InvalidDelay, build_gadget, normalize_initial
+from snpkit.eliminate import IdAllocator, build_gadget, normalize_initial
 from snpkit.semantics import Kernel
 
 from .conftest import periodic_systems, simple_systems, two_rule_systems
@@ -117,8 +117,9 @@ class TestBuildGadget:
         assert synapses == {("12-1", "12-exit")}
 
     def test_delay_zero_rejected(self):
-        with pytest.raises(InvalidDelay):
-            build_gadget(1, 0, IdAllocator(), "12")
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="d >= 1"):
+                build_gadget(1, d, IdAllocator(), "12")
 
     def test_allocator_dodges_taken_ids(self):
         alloc = IdAllocator(["12-1", "12-exit"])

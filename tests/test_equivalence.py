@@ -48,6 +48,8 @@ class TestEnvTrajectory:
     def test_negative_bound_rejected(self, relay):
         with pytest.raises(ValueError):
             env_trajectory(relay, -1)
+        with pytest.raises(ValueError):
+            co_simulate(relay, relay, -1)
 
 
 class TestCoSimulate:

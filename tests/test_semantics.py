@@ -214,6 +214,8 @@ class TestValidate:
                 Rule(SpikeRegex.multiples(1), 0, 0),  # consumes nothing
                 Rule(SpikeRegex.multiples(1), 1, 2),  # produces more than it eats
                 Rule(SpikeRegex.multiples(1), 1, 0, 3),  # delayed forgetting
+                Rule(SpikeRegex.multiples(1), 1, -1),  # negative production
+                Rule(SpikeRegex.multiples(1), 1, 1, -1),  # negative delay
             ),
         )
         issues = validate(SnpSystem((bad,), frozenset(), "n"))
@@ -221,7 +223,11 @@ class TestValidate:
             "rule 0 of neuron n",
             "rule 1 of neuron n",
             "rule 2 of neuron n",
+            "rule 3 of neuron n",
+            "rule 4 of neuron n",
         ]
+        assert issues[3].endswith("negative production")
+        assert issues[4].endswith("negative delay")
 
 
 @given(simple_systems())

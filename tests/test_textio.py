@@ -76,6 +76,8 @@ class TestParsing:
     def test_duplicate_output(self):
         with pytest.raises(ParseError, match="duplicate output"):
             parse_system("neuron 1\nout 1\nout 1\n")
+        with pytest.raises(ParseError, match="line 2: duplicate system"):
+            parse_system("system a\nsystem b\nneuron 1\nout 1\n")
 
     def test_unparseable_line_reports_position(self):
         with pytest.raises(ParseError) as err:
@@ -262,6 +264,10 @@ class TestDot:
         dot = export_dot(system)
         assert dot.count("shape=ellipse") == 1
         assert '"only" -> "__env__";' in dot
+        assert 'label="only\\na\\na+ / a -> a"' in dot
+        system = SnpSystem((Neuron("only", 2, (Rule.semi_homogeneous(1),)),), frozenset(), "only")
+        dot = export_dot(system)
+        assert 'label="only\\na^2\\na+ / a -> a"' in dot
 
     def test_environment_node_avoids_neuron_ids(self):
         system = parse_system(
