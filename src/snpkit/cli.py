@@ -1,13 +1,15 @@
 """Command-line surface: sim, transform, verify, gen, dot.
 
 Exit codes: 0 success (verify: equivalent), 1 verification failure,
-2 input error, 3 engine error (nondeterministic system).
+2 input error, 3 engine error (nondeterministic system), 141 (the
+``snpkit`` program only) standard output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_ENGINE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a program the signal ended
 
 
 def _load(path: str):
@@ -35,8 +38,7 @@ def _ever_closes(system, max_steps: int) -> bool:
     if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
         return False
     kernel = Kernel(system)
-    countdown = kernel.countdown
-    return any(any(countdown) for _ in kernel.ticks(max_steps))
+    return any(kernel.touched[0] for _ in kernel.ticks(max_steps))  # the closed neurons
 
 
 def _cmd_sim(args) -> int:
@@ -212,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # not an input error: the reader went away
     except (ParseError, ValidationError, UnsupportedDelayedRule, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -223,9 +227,21 @@ def main(argv: list[str] | None = None) -> int:
 def console() -> int:
     """The ``snpkit`` program.  Each hazard is already a ``warning:`` line on
     stdout, so the program does not show its ``BatchOverlapWarning`` too;
-    ``main`` still issues it to in-process callers."""
+    ``main`` still issues it to in-process callers.
+
+    When the reader of stdout goes away (``snpkit sim ... | head``), the
+    program stops silently with 141, also when only the flush of its last
+    output finds that out.  Stdout then points at the null device, so the
+    interpreter's final flush of what is left cannot fail again.
+    """
     warnings.simplefilter("ignore", BatchOverlapWarning)
-    return main()
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

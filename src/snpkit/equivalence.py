@@ -68,8 +68,9 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     each environment gains what it gained one period earlier, the same on
     both sides as they agreed at both ends of the period.  After the first
     divergence each side runs on alone until it halts, reaches the bound or
-    recurs.  Checks start once the tick reaches the larger side's neuron
-    count: a run that halts sooner does not pay for them.
+    recurs, checked from the first tick it runs alone.  Joint checks start
+    once the tick reaches the larger side's neuron count: a pair that halts
+    sooner does not pay for them.
 
     Only the kernels' state and one saved copy of it are kept, so memory
     does not grow with the bound.  A malformed system raises
@@ -141,7 +142,7 @@ def _halting(kernel: Kernel, ticks: Iterator, label: str) -> tuple[int | None, i
         for tick, environment, halted in ticks:
             if halted:
                 return tick, environment
-            if tick >= len(kernel.ids) and recurrence.recurs():
+            if recurrence.recurs():
                 return None, None
     except NondeterministicChoice as err:
         err.system = label

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpikeRegex:
     """A spike-count guard: a finite union of arithmetic progressions.
 
@@ -54,9 +54,9 @@ class SpikeRegex:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
-    """A firing rule.
+    """A firing rule (slotted, like its guard: the kernel reads both per check).
 
     When the neuron's spike count matches ``guard`` and is at least
     ``consume``, the rule may fire: ``consume`` spikes are removed and

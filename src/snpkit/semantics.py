@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
-from .model import Neuron, SnpSystem, SpikeRegex, check
+from .model import Neuron, Rule, SnpSystem, check
 
 
 class NondeterministicChoice(Exception):
@@ -222,7 +222,7 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
 class Kernel:
     """The event-driven engine behind ``run``, co-simulation and ``snpkit sim``.
 
-    The system is flattened once into per-neuron rule tuples and successor
+    The kernel fires each neuron's own ``Rule``s along the system's successor
     indices.  The state is three integer lists in declaration order:
     ``spikes``, ``countdown`` (ticks until the neuron reopens, 0 while open)
     and ``pending`` (the parked emission, 0 while open).
@@ -246,10 +246,7 @@ class Kernel:
     def __init__(self, system: SnpSystem):
         neurons = check(system).neurons
         self.ids = [n.id for n in neurons]
-        self.rules = [
-            tuple((r.guard.terms, r.consume, r.produce, r.delay) for r in n.rules)
-            for n in neurons
-        ]
+        self.rules = [n.rules for n in neurons]
         self.successors = system.successors
         self.output = system.index[system.output]
         self.spikes = [n.initial_spikes for n in neurons]
@@ -284,9 +281,9 @@ class Kernel:
                 k = spikes[i]
                 chosen = None
                 for rule in rules[i]:
-                    if k < rule[1]:
+                    if k < rule.consume:
                         continue
-                    for offset, period in rule[0]:  # SpikeRegex.matches, inlined
+                    for offset, period in rule.guard.terms:  # SpikeRegex.matches, inlined
                         if k == offset or (period and k > offset and (k - offset) % period == 0):
                             break
                     else:
@@ -318,19 +315,18 @@ class Kernel:
                     pool.append((i, pending[i]))
                     pending[i] = 0
                     dirty.add(i)
-            for i, (terms, consume, produce, delay) in firing:
-                spikes[i] -= consume
-                if delay:
-                    countdown[i] = delay
-                    pending[i] = produce
+            for i, rule in firing:
+                k = spikes[i] = spikes[i] - rule.consume
+                if rule.delay:
+                    countdown[i] = rule.delay
+                    pending[i] = rule.produce
                     closed.append(i)
-                    if event is None and spikes[i] >= consume:
-                        if SpikeRegex(terms).matches(spikes[i]):
-                            event = self.event = ("queued", i, tick + 1)
+                    if event is None and k >= rule.consume and rule.guard.matches(k):
+                        event = self.event = ("queued", i, tick + 1)
                 else:
                     dirty.add(i)
-                    if produce > 0:
-                        pool.append((i, produce))
+                    if rule.produce > 0:
+                        pool.append((i, rule.produce))
             for origin, batch in pool:
                 for target in successors[origin]:
                     if not countdown[target]:
@@ -411,12 +407,12 @@ class Recurrence:
         return False
 
 
-def _period_and_floor(rules: tuple) -> tuple[int, int]:
-    """L and T, as ``Recurrence`` defines them, of a neuron's kernel rules."""
+def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:
+    """L and T, as ``Recurrence`` defines them, of a neuron's rules."""
     period, floor = 1, 0
-    for terms, consume, _, _ in rules:
-        for offset, p in terms:
+    for rule in rules:
+        for offset, p in rule.guard.terms:
             floor = max(floor, offset + 1)
             period = lcm(period, p or 1)
-        floor = max(floor, consume)
+        floor = max(floor, rule.consume)
     return period, floor

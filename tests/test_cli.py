@@ -192,24 +192,20 @@ def test_verify_prints_the_hazard_on_every_call(tmp_path, capsys):
         assert lines[1].startswith("source: ")
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        ["-m", "snpkit.cli"],
-        # the call the installed `snpkit` script makes
-        ["-c", "import sys; from snpkit.cli import console; sys.exit(console())"],
-    ],
-    ids=["module", "script"],
-)
+PROGRAM_ENTRIES = [
+    ["-m", "snpkit.cli"],
+    # the call the installed `snpkit` script makes
+    ["-c", "import sys; from snpkit.cli import console; sys.exit(console())"],
+]
+
+
+@pytest.mark.parametrize("entry", PROGRAM_ENTRIES, ids=["module", "script"])
 def test_program_prints_each_hazard_once(tmp_path, entry):
     path = tmp_path / "hazard.snp"
     path.write_text(LOOP_HAZARD_DOC)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-W", "default", *entry, "verify", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_program_env(), timeout=60,
     )
     assert done.returncode == 1
     assert done.stderr == ""
@@ -217,6 +213,44 @@ def test_program_prints_each_hazard_once(tmp_path, entry):
         "warning: neuron S is closed when a spike batch reaches it at tick 4; "
         "the source loses the batch, the delay-free target keeps it"
     ]
+
+
+@pytest.mark.parametrize("entry", PROGRAM_ENTRIES, ids=["module", "script"])
+def test_program_stops_quietly_when_stdout_closes(tmp_path, entry):
+    path = tmp_path / "loop.snp"
+    path.write_text(LOOP_HAZARD_DOC)
+    with subprocess.Popen(
+        [sys.executable, *entry, "sim", str(path), "--max-steps", "200000", "--style", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_program_env(),
+    ) as program:
+        assert program.stdout.readline().startswith(b'{"system":"hazardous"')
+        program.stdout.close()  # the reader goes away, like `| head -1`
+        assert program.wait(timeout=60) == 141
+        assert program.stderr.read() == b""
+
+
+def test_program_stops_quietly_when_its_last_flush_finds_stdout_closed():
+    read, write = os.pipe()
+    os.close(read)  # every write, and so the exit-time flush, meets a closed pipe
+    env = _program_env()
+    env.pop("PYTHONUNBUFFERED", None)  # keep the output buffered until the flush
+    relay = Path(__file__).resolve().parent.parent / "systems" / "relay.snp"
+    try:
+        done = subprocess.run(
+            [sys.executable, *PROGRAM_ENTRIES[0], "dot", str(relay)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
+def _program_env() -> dict[str, str]:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_gen_round_trips(capsys):

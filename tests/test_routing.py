@@ -70,11 +70,17 @@ def test_instance_argument_checks():
     with pytest.raises(ValueError):
         Sequential((0,))
     with pytest.raises(ValueError):
+        Iteration(0)
+    with pytest.raises(ValueError):
         Iteration(2, "middle")
     with pytest.raises(ValueError):
         Join(0)
     with pytest.raises(ValueError):
         Split()
+    with pytest.raises(ValueError):
+        Split(d_left=0)
+    with pytest.raises(TypeError):
+        generate(object())
 
 
 def test_compose_chains_outputs_to_entries():

@@ -42,6 +42,10 @@ class TestEnabledRules:
         assert enabled_rules(neuron, NeuronState(4)) == [0]
         assert enabled_rules(neuron, NeuronState(3)) == []
 
+    def test_pending_emission_only_while_closed(self):
+        with pytest.raises(ValueError, match="exactly while closed"):
+            NeuronState(0, 0, 1)
+
     def test_guard_match_without_enough_spikes(self):
         # guard matches 1 but the rule eats 2: not enabled on one spike
         neuron = Neuron("1", 0, (Rule(SpikeRegex.multiples(1), 2),))

@@ -88,6 +88,10 @@ class TestParsing:
         with pytest.raises(ParseError, match="guard"):
             parse_system("neuron 1\nrule 1: b+ / a -> a\nout 1\n")
 
+    def test_rule_without_arrow(self):
+        with pytest.raises(ParseError, match="line 2: rule needs '->'"):
+            parse_system("neuron 1\nrule 1: a+ / a a\nout 1\n")
+
     @pytest.mark.parametrize(
         "doc,line",
         [
