@@ -18,7 +18,7 @@ from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedR
 from .equivalence import co_simulate
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
-from .semantics import Kernel, NondeterministicChoice
+from .semantics import Kernel, NondeterministicChoice, Recurrence
 from .textio import ParseError, TraceStyle, export_dot, parse_system, serialize_system, trace_lines
 
 EXIT_OK = 0
@@ -33,12 +33,17 @@ def _load(path: str):
 
 
 def _ever_closes(system, max_steps: int) -> bool:
-    """Whether some neuron is closed in some configuration of the run, from
-    a run ahead of the one printed, stopped at the first closed neuron."""
+    """Whether some neuron is closed in some configuration of the run, from a
+    run ahead of the one printed that stops at the first closed neuron or at a
+    recurrence (a run that recurs without closing a neuron never closes one)."""
     if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
         return False
     kernel = Kernel(system)
-    return any(kernel.touched[0] for _ in kernel.ticks(max_steps))  # the closed neurons
+    recurrence = Recurrence(kernel)
+    for _ in kernel.ticks(max_steps):
+        if kernel.touched[0] or recurrence.recurs():  # touched[0]: the closed neurons
+            return bool(kernel.touched[0])
+    return False
 
 
 def _cmd_sim(args) -> int:

@@ -186,41 +186,29 @@ def is_halting(system: SnpSystem, config: Configuration) -> bool:
 
 
 def run(system: SnpSystem, max_steps: int) -> Trace:
-    """Run from the initial configuration to the first halting configuration,
-    or until ``max_steps`` ticks have been simulated.
+    """The loop over ``is_halting`` and ``step`` that defines a run: from the
+    initial configuration to the first halting one, or to tick ``max_steps``.
 
-    The trace always starts at tick 0; a halting check at tick 0 is allowed,
-    so a system with nothing to do halts immediately.  Runs are pure: the
-    same system and budget always give the identical trace, the one that
-    ``step`` and ``is_halting`` define.  Each configuration is the previous
-    one with only the neurons the kernel touched replaced; equal neuron
-    states are shared within a run.  A malformed system raises
-    ValidationError before tick 0.
+    The trace always starts at tick 0, so a system with nothing to do halts
+    at once.  Runs are pure: the same system and budget give the identical
+    trace.  Every tick scans every neuron; the ``Kernel`` (``snpkit sim``,
+    ``env_trajectory``) runs large systems faster.  A malformed system
+    raises ValidationError before tick 0.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    kernel = Kernel(system)
-    spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
-    config = initial_configuration(system)
+    config = initial_configuration(check(system))
     configs = [config]
-    states = list(config.states)
-    interned: dict[tuple[int, int, int], NeuronState] = {}
-    ticks = kernel.ticks(max_steps)
-    tick, environment, halted = next(ticks)
-    for tick, environment, halted in ticks:
-        for touched in kernel.touched:
-            for i in touched:
-                key = (spikes[i], countdown[i], pending[i])
-                state = interned.get(key)
-                if state is None:
-                    state = interned[key] = NeuronState(key[0], key[1], key[2] or None)
-                states[i] = state
-        configs.append(Configuration(tuple(states), environment, tick))
-    return Trace(tuple(configs), Halted(tick) if halted else BudgetExhausted())
+    while not is_halting(system, config):
+        if config.tick >= max_steps:
+            return Trace(tuple(configs), BudgetExhausted())
+        config = step(system, config)
+        configs.append(config)
+    return Trace(tuple(configs), Halted(config.tick))
 
 
 class Kernel:
-    """The event-driven engine behind ``run``, co-simulation and ``snpkit sim``.
+    """The event-driven engine behind every command, tested against ``run``.
 
     The kernel fires each neuron's own ``Rule``s along the system's successor
     indices.  The state is three integer lists in declaration order:

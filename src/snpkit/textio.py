@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
-from .semantics import Configuration, Trace
+from .semantics import Trace
 
 
 class ParseError(Exception):
@@ -243,15 +243,6 @@ def _vector(spikes: Sequence[int], closed: Sequence[int], environment: int, asci
     left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
     cells = [*map("{}/{}".format, spikes, closed), str(environment)]
     return f"{left}{', '.join(cells)}{right}"
-
-
-def format_configuration(config: Configuration, ascii_brackets: bool = False) -> str:
-    """Angle-bracket vector: one spikes/countdown pair per neuron, then the
-    environment count."""
-    states = config.states
-    return _vector(
-        [s.spikes for s in states], [s.closed_remaining for s in states], config.environment, ascii_brackets
-    )
 
 
 def trace_lines(

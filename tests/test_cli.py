@@ -25,7 +25,7 @@ from snpkit import (
     run,
     serialize_system,
 )
-from snpkit.cli import main
+from snpkit.cli import _ever_closes, main
 
 from .conftest import simple_systems, two_rule_systems
 
@@ -458,6 +458,36 @@ def test_table_shows_bare_counts_when_no_delayed_rule_fires(tmp_path):
     assert out == expected_sim(parse_system(doc), 1000, TraceStyle.TABLE, False)
     assert out.splitlines()[1:3] == ["t0\t1\t0\t0\t0", "t1\t0\t1\t0\t0"]
     assert out.splitlines()[-1] == "halted at tick 1, environment 0"
+
+
+IDLE_DELAY_LOOP_DOC = """\
+system idle-delay-loop
+neuron A spikes=1
+rule A: a+ / a -> a
+neuron B
+rule B: a+ / a -> a
+neuron D
+rule D: a^5 / a^5 -> a ; 2
+syn A -> B
+syn B -> A
+out A
+"""
+
+
+def test_table_look_ahead_stops_at_a_recurrence(tmp_path):
+    # A and B pass a spike back and forth forever and D's delayed rule never
+    # fires: the run recurs at once, so no budget makes the look-ahead long
+    system = parse_system(IDLE_DELAY_LOOP_DOC)
+    start = time.perf_counter()
+    assert not _ever_closes(system, 10**6)
+    assert time.perf_counter() - start < 0.1
+    path = tmp_path / "idle-delay-loop.snp"
+    path.write_text(IDLE_DELAY_LOOP_DOC)
+    code, out, err = sim([str(path), "--style", "table", "--max-steps", "50"])
+    assert (code, err) == (0, "")
+    assert out == expected_sim(system, 50, TraceStyle.TABLE, False)
+    assert out.splitlines()[:3] == ["step\tA\tB\tD\tenv", "t0\t1\t0\t0\t0", "t1\t0\t1\t0\t1"]
+    assert out.splitlines()[-1] == "budget exhausted after 50 ticks, environment 25"
 
 
 def test_table_shows_countdowns_when_a_delayed_rule_fires(relay_file):

@@ -1,5 +1,7 @@
-"""The event-driven kernel behind ``run``, ``env_trajectory`` and
-``co_simulate``, differential-tested against ``step`` and ``is_halting``."""
+"""The event-driven kernel behind ``env_trajectory``, ``co_simulate`` and
+every ``snpkit`` command, differential-tested against ``run``: the loop over
+``step`` and ``is_halting`` that defines the semantics, independent of the
+kernel."""
 
 import time
 import tracemalloc
@@ -10,18 +12,15 @@ from hypothesis import strategies as st
 
 from snpkit import (
     BudgetExhausted,
-    Halted,
     Neuron,
     NondeterministicChoice,
     Rule,
     SnpSystem,
     SpikeRegex,
-    Trace,
     ValidationError,
     batch_hazards,
     co_simulate,
     env_trajectory,
-    is_halting,
     run,
     step,
 )
@@ -30,19 +29,6 @@ from snpkit.semantics import Kernel, initial_configuration
 from .conftest import periodic_systems, simple_systems, two_rule_systems
 
 systems = st.one_of(simple_systems(), two_rule_systems())
-
-
-def reference_run(system, max_steps):
-    """``run`` as the loop over ``step`` and ``is_halting`` that defines it."""
-    config = initial_configuration(system)
-    configs = [config]
-    while True:
-        if is_halting(system, config):
-            return Trace(tuple(configs), Halted(config.tick))
-        if config.tick >= max_steps:
-            return Trace(tuple(configs), BudgetExhausted())
-        config = step(system, config)
-        configs.append(config)
 
 
 def outcome(fn, *args):
@@ -58,7 +44,7 @@ def reference_verdict(source, target, bound):
     reference traces of the source and then the target."""
     sides = []
     for system, label in ((source, "source"), (target, "target")):
-        trace = outcome(reference_run, system, bound)
+        trace = outcome(run, system, bound)
         if isinstance(trace, tuple):
             return trace[:3] + (label,)
         sides.append(trace)
@@ -73,16 +59,53 @@ def reference_verdict(source, target, bound):
     }
 
 
-@given(systems, st.integers(0, 40))
-@settings(max_examples=400)
+def kernel_frames(system, budget):
+    """Every configuration the kernel yields, as ``(tick, spikes, countdown,
+    pending, environment, halted)``, then the tie that stopped it, if any."""
+    kernel = Kernel(system)
+    frames = []
+    try:
+        for tick, environment, halted in kernel.ticks(budget):
+            frames.append(
+                (tick, kernel.spikes.copy(), kernel.countdown.copy(), kernel.pending.copy(), environment, halted)
+            )
+    except NondeterministicChoice as tie:
+        frames.append(("tie", tie.neuron, tie.tick))
+    return frames
+
+
+def run_frames(system, budget):
+    """The same from ``run``'s configurations, pending 0 standing for None.
+    A tie ends the frames of the run up to the tick before it."""
+    try:
+        trace = run(system, budget)
+    except NondeterministicChoice as tie:
+        return run_frames(system, tie.tick - 1) + [("tie", tie.neuron, tie.tick)]
+    last = len(trace.configurations) - 1
+    return [
+        (
+            c.tick,
+            [s.spikes for s in c.states],
+            [s.closed_remaining for s in c.states],
+            [s.pending_emission or 0 for s in c.states],
+            c.environment,
+            i == last and trace.halted,
+        )
+        for i, c in enumerate(trace.configurations)
+    ]
+
+
+@given(st.one_of(systems, periodic_systems()), st.integers(0, 300))
+@settings(max_examples=400, deadline=None)
 def test_run_matches_reference(system, budget):
-    assert outcome(run, system, budget) == outcome(reference_run, system, budget)
+    # the kernel's full state at every tick, and any tie, against run's
+    assert kernel_frames(system, budget) == run_frames(system, budget)
 
 
 @given(systems, st.integers(0, 40))
 @settings(max_examples=200)
 def test_env_trajectory_matches_reference(system, bound):
-    expected = outcome(reference_run, system, bound)
+    expected = outcome(run, system, bound)
     if isinstance(expected, tuple):
         assert outcome(env_trajectory, system, bound) == expected
     else:
@@ -191,7 +214,10 @@ def test_lowest_tied_neuron_is_reported():
     rules = (Rule.semi_homogeneous(1), Rule(SpikeRegex.exactly(1), 1))
     neurons = (Neuron("q", 0, rules), Neuron("p", 1, rules), Neuron("r", 1, rules))
     system = SnpSystem(neurons, frozenset(), "p")
-    assert outcome(run, system, 5) == outcome(reference_run, system, 5) == ("tie", "p", 1, None)
+    assert outcome(run, system, 5) == ("tie", "p", 1, None)
+    frames = kernel_frames(system, 5)
+    assert frames == run_frames(system, 5)
+    assert frames[-1] == ("tie", "p", 1)
 
 
 def test_source_tie_is_raised_before_an_earlier_target_tie():

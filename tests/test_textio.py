@@ -29,7 +29,7 @@ from snpkit import (
     serialize_system,
 )
 from snpkit.cli import main
-from snpkit.textio import format_configuration, parse_guard, render_guard, render_rule
+from snpkit.textio import parse_guard, render_guard, render_rule
 
 from .conftest import SYSTEMS_DIR, random_system, simple_systems, spike_regexes
 
@@ -183,14 +183,14 @@ class TestRoundTrip:
 
 class TestTraceRendering:
     def test_configuration_vector(self, relay):
-        c2 = run(relay, 10).configurations[2]
-        assert format_configuration(c2) == "⟨0/0, 0/2, 0/0, 0⟩"
-        assert format_configuration(c2, ascii_brackets=True) == "<0/0, 0/2, 0/0, 0>"
+        trace = run(relay, 10)
+        assert format_trace(trace).splitlines()[2] == "C2 = ⟨0/0, 0/2, 0/0, 0⟩"
+        assert format_trace(trace, ascii_brackets=True).splitlines()[2] == "C2 = <0/0, 0/2, 0/0, 0>"
 
     def test_environment_only_vector(self):
         trace = Trace((Configuration((), 0, 0),), Halted(0))
-        assert format_configuration(trace.final) == "⟨0⟩"
         assert format_trace(trace) == "C0 = ⟨0⟩"
+        assert format_trace(trace, ascii_brackets=True) == "C0 = <0>"
 
     def test_paper_style_lines(self, relay):
         text = format_trace(run(relay, 10), TraceStyle.PAPER)
