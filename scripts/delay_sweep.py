@@ -3,7 +3,9 @@
 and co-simulate; then repeat on seeded random compositions.
 
 Exits 1 when a composition diverges without an overlap warning or an
-instance breaks the count law, so the script doubles as a check.
+instance breaks the count law, so the script doubles as a check.  The
+counts go to stdout, which is the same on every run; the sweep's elapsed
+time goes to stderr.
 
 Usage: python scripts/delay_sweep.py [--bound N] [--compositions N] [--seed N]
 """
@@ -79,9 +81,9 @@ def main():
         else:
             assert verdict.r1_holds and verdict.r2_holds, source.name
             halting += 1
-    elapsed = time.perf_counter() - start
+    print(f"sweep: {total} instances in {time.perf_counter() - start:.3f}s", file=sys.stderr)
     print(
-        f"sweep: {total} instances in {elapsed:.3f}s; "
+        f"sweep: {total} instances; "
         f"{halting} halting pairs satisfy R1+R2, "
         f"{trajectory_only} looping pairs match trajectories over {args.bound} ticks"
     )

@@ -24,6 +24,7 @@ normalized source.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -185,6 +186,17 @@ def normalize_initial(system: SnpSystem) -> tuple[SnpSystem, tuple[str, ...]]:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _gadget_rules(j: int, d: int) -> tuple[tuple[Rule], tuple[Rule], tuple[Rule]]:
+    """The rule tuples of a multiplier, the drain and the exit, built once
+    per gadget shape."""
+    return (
+        (Rule(SpikeRegex.multiples(j), j, j),),
+        (Rule.semi_homogeneous(j),),
+        (Rule.semi_homogeneous(max(d - 1, 1)),),
+    )
+
+
 def build_gadget(
     j: int, d: int, alloc: IdAllocator, source_id: str = "g"
 ) -> tuple[GadgetPlan, tuple[Neuron, ...], frozenset[tuple[str, str]]]:
@@ -193,16 +205,18 @@ def build_gadget(
     d-1 multipliers (a^j)+ / a^j -> a^j, a drain (a^j)+ / a^j -> a, and an
     exit (a^e)+ / a^e -> a with e = max(d-1, 1), wired multipliers ->
     drain -> exit.  For d = 1 there are no multipliers and the exit passes
-    single spikes through.  Raises ValueError unless j >= 1 and d >= 1.
+    single spikes through.  The rules are shared: every multiplier of the
+    subnet, and every subnet of the same (j, d), holds the same immutable
+    ``Rule`` objects.  Raises ValueError unless j >= 1 and d >= 1.
     """
     if j < 1 or d < 1:
         raise ValueError("need j >= 1 and d >= 1")
+    multiplier_rules, drain_rules, exit_rules = _gadget_rules(j, d)
     multipliers = tuple(
-        Neuron(alloc.fresh(f"{source_id}-{i}"), 0, (Rule(SpikeRegex.multiples(j), j, j),))
-        for i in range(1, d)
+        Neuron(alloc.fresh(f"{source_id}-{i}"), 0, multiplier_rules) for i in range(1, d)
     )
-    drain = Neuron(alloc.fresh(f"{source_id}-{d}"), 0, (Rule.semi_homogeneous(j),))
-    exit_ = Neuron(alloc.fresh(f"{source_id}-exit"), 0, (Rule.semi_homogeneous(max(d - 1, 1)),))
+    drain = Neuron(alloc.fresh(f"{source_id}-{d}"), 0, drain_rules)
+    exit_ = Neuron(alloc.fresh(f"{source_id}-exit"), 0, exit_rules)
     plan = GadgetPlan(tuple(m.id for m in multipliers), drain.id, exit_.id)
     synapses = {(m.id, drain.id) for m in multipliers}
     synapses.add((drain.id, exit_.id))

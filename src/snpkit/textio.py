@@ -149,6 +149,7 @@ def parse_system(text: str) -> SnpSystem:
     named = False
     neurons: dict[str, tuple[int, list[Rule]]] = {}
     synapses: set[tuple[str, str]] = set()
+    parsed: dict[str, Rule] = {}  # one Rule per distinct body text
     output = None
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,7 +170,10 @@ def parse_system(text: str) -> SnpSystem:
                 nid = m["id"]
                 if nid not in neurons:
                     raise ValueError(f"rule for undeclared neuron {nid}")
-                neurons[nid][1].append(parse_rule_body(m["body"]))
+                body = m["body"]
+                if (rule := parsed.get(body)) is None:
+                    rule = parsed[body] = parse_rule_body(body)
+                neurons[nid][1].append(rule)
             elif m := _SYN_RE.match(line):
                 synapses.add((m["a"], m["b"]))
             elif m := _OUT_RE.match(line):
@@ -197,11 +201,14 @@ def serialize_system(system: SnpSystem) -> str:
         if not _ID_RE.fullmatch(nid):
             raise ValueError(f"neuron id {nid!r} is not of letters, digits and _'.-")
     lines = [f"system {system.name}"]
+    rendered: dict[Rule, str] = {}  # one rendering per distinct rule
     for neuron in system.neurons:
         suffix = f" spikes={neuron.initial_spikes}" if neuron.initial_spikes else ""
         lines.append(f"neuron {neuron.id}{suffix}")
         for rule in neuron.rules:
-            lines.append(f"rule {neuron.id}: {render_rule(rule)}")
+            if (text := rendered.get(rule)) is None:
+                text = rendered[rule] = render_rule(rule)
+            lines.append(f"rule {neuron.id}: {text}")
     for a, b in sorted(system.synapses):
         lines.append(f"syn {a} -> {b}")
     lines.append(f"out {system.output}")

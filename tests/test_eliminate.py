@@ -116,6 +116,21 @@ class TestBuildGadget:
         assert rules["12-exit"] == Rule(SpikeRegex.multiples(1), 1, 1)
         assert synapses == {("12-1", "12-exit")}
 
+    def test_multipliers_share_one_rule(self):
+        plan, neurons, _ = build_gadget(1, 4, IdAllocator(), "12")
+        by_id = {n.id: n for n in neurons}
+        multiplier_rules = [by_id[m].rules[0] for m in plan.multiplier_ids]
+        assert len(multiplier_rules) == 3
+        assert all(rule is multiplier_rules[0] for rule in multiplier_rules)
+
+    def test_gadgets_of_one_shape_share_their_rules(self):
+        alloc = IdAllocator()
+        _, first, _ = build_gadget(2, 3, alloc, "12")
+        _, second, _ = build_gadget(2, 3, alloc, "13")
+        assert [n.id for n in first] != [n.id for n in second]
+        for a, b in zip(first, second):
+            assert a.rules[0] is b.rules[0]
+
     def test_delay_zero_rejected(self):
         for d in (0, -1):
             with pytest.raises(ValueError, match="d >= 1"):

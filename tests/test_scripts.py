@@ -23,6 +23,13 @@ def test_delay_sweep_reproduces_the_counts():
     assert "41 unflagged and equivalent, 59 flagged and genuinely divergent, 0 flagged" in result.stdout
 
 
+def test_delay_sweep_prints_the_same_stdout_every_run():
+    first, second = _run("delay_sweep.py"), _run("delay_sweep.py")
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout
+    assert "instances in" in first.stderr
+
+
 def test_reproduce_tables_runs():
     result = _run("reproduce_tables.py")
     assert result.returncode == 0, result.stderr

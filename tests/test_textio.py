@@ -114,6 +114,22 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err.startswith(f"error: line {line}: ")
 
+    def test_repeated_rule_text_shares_one_rule(self):
+        doc = (
+            "neuron 1 spikes=1\nrule 1: a+ / a -> a\nneuron 2\nrule 2: a+ / a -> a\n"
+            "neuron 3\nrule 3: a+ / a -> a ; 2\nsyn 1 -> 2\nsyn 2 -> 3\nout 3\n"
+        )
+        first, second, third = (n.rules[0] for n in parse_system(doc).neurons)
+        assert first is second
+        assert third is not first
+        assert third != first
+
+    def test_separate_parses_do_not_share_rules(self):
+        once, again = parse_system(RELAY_DOC), parse_system(RELAY_DOC)
+        assert once == again
+        for a, b in zip(once.neurons, again.neurons):
+            assert a.rules[0] is not b.rules[0]
+
     def test_forgetting_and_exponents(self):
         doc = "neuron 1 spikes=3\nrule 1: a^3 / a^3 -> 0\nout 1\n"
         system = parse_system(doc)
@@ -158,6 +174,19 @@ class TestRoundTrip:
         document = serialize_system(target)
         assert document.count("neuron ") == 5
         assert parse_system(document) == target
+
+    def test_shared_rules_render_as_one_rule_per_line(self):
+        target = eliminate_delays(generate(Sequential((1, 2, 3, 4) * 10))).target
+        rules = [rule for neuron in target.neurons for rule in neuron.rules]
+        assert len({id(rule) for rule in rules}) < len(rules)
+        lines = [f"system {target.name}"]
+        for neuron in target.neurons:
+            suffix = f" spikes={neuron.initial_spikes}" if neuron.initial_spikes else ""
+            lines.append(f"neuron {neuron.id}{suffix}")
+            lines.extend(f"rule {neuron.id}: {render_rule(rule)}" for rule in neuron.rules)
+        lines.extend(f"syn {a} -> {b}" for a, b in sorted(target.synapses))
+        lines.append(f"out {target.output}")
+        assert serialize_system(target) == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(
         "name, nid, message",
