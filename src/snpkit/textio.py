@@ -201,13 +201,15 @@ def serialize_system(system: SnpSystem) -> str:
         if not _ID_RE.fullmatch(nid):
             raise ValueError(f"neuron id {nid!r} is not of letters, digits and _'.-")
     lines = [f"system {system.name}"]
-    rendered: dict[Rule, str] = {}  # one rendering per distinct rule
+    # One rendering per rule object.  Keyed by id, because hashing a Rule
+    # costs as much as rendering it; the system keeps every key alive.
+    rendered: dict[int, str] = {}
     for neuron in system.neurons:
         suffix = f" spikes={neuron.initial_spikes}" if neuron.initial_spikes else ""
         lines.append(f"neuron {neuron.id}{suffix}")
         for rule in neuron.rules:
-            if (text := rendered.get(rule)) is None:
-                text = rendered[rule] = render_rule(rule)
+            if (text := rendered.get(id(rule))) is None:
+                text = rendered[id(rule)] = render_rule(rule)
             lines.append(f"rule {neuron.id}: {text}")
     for a, b in sorted(system.synapses):
         lines.append(f"syn {a} -> {b}")
