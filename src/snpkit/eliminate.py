@@ -80,21 +80,6 @@ class IdAllocator:
 
 
 @dataclass(frozen=True)
-class GadgetPlan:
-    """Ids of one replacement subnet.  Entry points (the multipliers, or the
-    drain when there are none) take over the replaced neuron's in-synapses;
-    the exit takes over its out-synapses."""
-
-    multiplier_ids: tuple[str, ...]
-    drain_id: str
-    exit_id: str
-
-    @property
-    def entry_ids(self) -> tuple[str, ...]:
-        return self.multiplier_ids or (self.drain_id,)
-
-
-@dataclass(frozen=True)
 class Provenance:
     """Where a target neuron comes from: a verbatim copy (role None) or a
     named part of the subnet replacing ``source``."""
@@ -114,19 +99,11 @@ class TransformResult:
     target: SnpSystem
     provenance: dict[str, Provenance]
     feeders: tuple[str, ...]
+    # the eliminated delays in the normalized source's order; their sum is
+    # the neuron growth net of feeders (the count law)
+    delays: tuple[int, ...]
     added_count: int
     hazards: tuple[str, ...] = ()
-
-    @property
-    def delays(self) -> list[int]:
-        """Delays of the eliminated rules, in the normalized source's order;
-        their sum is the neuron growth net of feeders (the count law)."""
-        return [
-            rule.delay
-            for neuron in self.normalized_source.neurons
-            for rule in neuron.rules
-            if rule.delayed
-        ]
 
 
 def check_count_law(result: TransformResult) -> bool:
@@ -199,7 +176,7 @@ def _gadget_rules(j: int, d: int) -> tuple[tuple[Rule], tuple[Rule], tuple[Rule]
 
 def build_gadget(
     j: int, d: int, alloc: IdAllocator, source_id: str = "g"
-) -> tuple[GadgetPlan, tuple[Neuron, ...], frozenset[tuple[str, str]]]:
+) -> tuple[tuple[Neuron, ...], frozenset[tuple[str, str]]]:
     """Build the replacement subnet for a delayed rule (a^j)+ / a^j -> a ; d.
 
     d-1 multipliers (a^j)+ / a^j -> a^j, a drain (a^j)+ / a^j -> a, and an
@@ -208,6 +185,10 @@ def build_gadget(
     single spikes through.  The rules are shared: every multiplier of the
     subnet, and every subnet of the same (j, d), holds the same immutable
     ``Rule`` objects.  Raises ValueError unless j >= 1 and d >= 1.
+
+    Returns the neurons in that order and their synapses.  The first
+    max(d-1, 1) neurons are the entry points, which take over the replaced
+    neuron's in-synapses; the exit, last, takes over its out-synapses.
     """
     if j < 1 or d < 1:
         raise ValueError("need j >= 1 and d >= 1")
@@ -217,10 +198,9 @@ def build_gadget(
     )
     drain = Neuron(alloc.fresh(f"{source_id}-{d}"), 0, drain_rules)
     exit_ = Neuron(alloc.fresh(f"{source_id}-exit"), 0, exit_rules)
-    plan = GadgetPlan(tuple(m.id for m in multipliers), drain.id, exit_.id)
     synapses = {(m.id, drain.id) for m in multipliers}
     synapses.add((drain.id, exit_.id))
-    return plan, multipliers + (drain, exit_), frozenset(synapses)
+    return multipliers + (drain, exit_), frozenset(synapses)
 
 
 def eliminate_delays(system: SnpSystem) -> TransformResult:
@@ -240,23 +220,22 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     first such event, or says the run left it undecided (``batch_hazards``).
     """
     normalized, feeder_ids = normalize_initial(system)
-    added = sum(rule.delay for neuron in normalized.neurons for rule in neuron.rules)
-    if added > MAX_ADDED_NEURONS:
+    delays = tuple(r.delay for n in normalized.neurons for r in n.rules if r.delayed)
+    if sum(delays) > MAX_ADDED_NEURONS:
         raise RewriteTooLarge(
-            f"the delays sum to {added}: the rewrite would add more than "
+            f"the delays sum to {sum(delays)}: the rewrite would add more than "
             f"{MAX_ADDED_NEURONS} neurons"
         )
 
-    plans: dict[str, GadgetPlan] = {}
+    entries: dict[str, tuple[str, ...]] = {}  # replaced id -> its subnet's entry ids
+    exits: dict[str, str] = {}  # replaced id -> its subnet's exit id
     synapses: set[tuple[str, str]] = set()
     alloc = IdAllocator(n.id for n in normalized.neurons)
     target_neurons: list[Neuron] = []
     provenance: dict[str, Provenance] = {}
-
-    feeds: dict[str, str] = {}
-    for a, b in normalized.synapses:
-        if a in feeder_ids:
-            feeds[a] = b
+    feeds: dict[str, str] = {}  # feeder id -> the neuron it feeds, its one successor
+    for f in feeder_ids:
+        feeds[f] = normalized.neurons[normalized.successors[normalized.index[f]][0]].id
 
     for neuron in normalized.neurons:
         rule = _delayed_rule(neuron)
@@ -267,23 +246,23 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
             else:
                 provenance[neuron.id] = Provenance(neuron.id)
             continue
-        plan, gadget_neurons, gadget_synapses = build_gadget(
-            rule.consume, rule.delay, alloc, neuron.id
-        )
-        plans[neuron.id] = plan
+        gadget_neurons, gadget_synapses = build_gadget(rule.consume, rule.delay, alloc, neuron.id)
+        *multiplier_ids, drain_id, exit_id = (n.id for n in gadget_neurons)
+        entries[neuron.id] = tuple(multiplier_ids) or (drain_id,)
+        exits[neuron.id] = exit_id
         synapses |= gadget_synapses
         target_neurons.extend(gadget_neurons)
-        for i, m in enumerate(plan.multiplier_ids, start=1):
+        for i, m in enumerate(multiplier_ids, start=1):
             provenance[m] = Provenance(neuron.id, "multiplier", i)
-        provenance[plan.drain_id] = Provenance(neuron.id, "drain")
-        provenance[plan.exit_id] = Provenance(neuron.id, "exit")
+        provenance[drain_id] = Provenance(neuron.id, "drain")
+        provenance[exit_id] = Provenance(neuron.id, "exit")
 
     for a, b in normalized.synapses:
-        s = plans[a].exit_id if a in plans else a
-        for t in plans[b].entry_ids if b in plans else (b,):
+        s = exits.get(a, a)
+        for t in entries.get(b, (b,)):
             synapses.add((s, t))
 
-    output = plans[normalized.output].exit_id if normalized.output in plans else normalized.output
+    output = exits.get(normalized.output, normalized.output)
     target = SnpSystem(
         tuple(target_neurons), frozenset(synapses), output, f"{normalized.name}-delay-free"
     )
@@ -297,6 +276,7 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
         target=target,
         provenance=provenance,
         feeders=feeder_ids,
+        delays=delays,
         added_count=len(target.neurons) - len(system.neurons),
         hazards=hazards,
     )

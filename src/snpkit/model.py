@@ -80,15 +80,11 @@ class Rule:
         return self.delay >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neuron:
     id: str
     initial_spikes: int = 0
     rules: tuple[Rule, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "rules", tuple(self.rules))
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,6 @@ class SnpSystem:
     synapses: frozenset[tuple[str, str]]
     output: str
     name: str = "system"
-
-    def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        object.__setattr__(
-            self, "synapses", frozenset((str(a), str(b)) for a, b in self.synapses)
-        )
 
     @property
     def ids(self) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ from snpkit import (
     Rule,
     Sequential,
     SnpSystem,
+    Split,
     check_count_law,
     co_simulate,
     eliminate_delays,
@@ -247,11 +248,21 @@ def test_criterion_6b_long_chain_trajectory_is_fast():
 # --- criterion 7: neuron-count law ---------------------------------------------
 
 
+def _declared_delays(instance) -> tuple[int, ...]:
+    """The delays a routing instance declares, in neuron order."""
+    if isinstance(instance, Sequential):
+        return instance.delays
+    if isinstance(instance, Split):
+        return tuple(d for d in (instance.d_left, instance.d_right) if d)
+    return (instance.d,)  # Iteration and Join carry one delay
+
+
 def test_criterion_7_count_law():
     checked = 0
     for instance in sweep_instances() + iteration_instances():
         result = _transformed(instance)
         assert check_count_law(result), instance
+        assert result.delays == _declared_delays(instance), instance
         checked += 1
     rng = random.Random(20260810)
     with warnings.catch_warnings():
@@ -262,6 +273,7 @@ def test_criterion_7_count_law():
             parts = [random_instance(rng) for _ in range(rng.randint(2, 4))]
             result = eliminate_delays(compose(parts, name=f"composite-{i}"))
             assert check_count_law(result), (i, parts)
+            assert result.delays == sum(map(_declared_delays, parts), ()), (i, parts)
             checked += 1
     report(7, f"added neurons equal the delay sum on {checked} systems")
 

@@ -86,12 +86,14 @@ class TestNormalizeInitial:
 
 
 class TestBuildGadget:
+    # build_gadget returns (neurons, synapses): the multipliers, then the
+    # drain, then the exit; the entry points are neurons[:max(d - 1, 1)]
+
     def test_single_spike_delay_three(self):
-        plan, neurons, synapses = build_gadget(1, 3, IdAllocator(), "12")
-        assert plan.multiplier_ids == ("12-1", "12-2")
-        assert plan.drain_id == "12-3"
-        assert plan.exit_id == "12-exit"
-        assert plan.entry_ids == ("12-1", "12-2")
+        neurons, synapses = build_gadget(1, 3, IdAllocator(), "12")
+        assert [n.id for n in neurons] == ["12-1", "12-2", "12-3", "12-exit"]
+        assert [n.id for n in neurons[:2]] == ["12-1", "12-2"]  # entries: the multipliers
+        assert neurons[-1].id == "12-exit"
         rules = {n.id: n.rules[0] for n in neurons}
         assert rules["12-1"] == Rule(SpikeRegex.multiples(1), 1, 1)
         assert rules["12-3"] == Rule(SpikeRegex.multiples(1), 1, 1)
@@ -99,7 +101,8 @@ class TestBuildGadget:
         assert synapses == {("12-1", "12-3"), ("12-2", "12-3"), ("12-3", "12-exit")}
 
     def test_two_spike_batches_delay_three(self):
-        plan, neurons, _ = build_gadget(2, 3, IdAllocator(), "13")
+        neurons, _ = build_gadget(2, 3, IdAllocator(), "13")
+        assert [n.id for n in neurons] == ["13-1", "13-2", "13-3", "13-exit"]
         rules = {n.id: n.rules[0] for n in neurons}
         assert rules["13-1"] == Rule(SpikeRegex.multiples(2), 2, 2)
         assert rules["13-2"] == Rule(SpikeRegex.multiples(2), 2, 2)
@@ -107,26 +110,27 @@ class TestBuildGadget:
         assert rules["13-exit"] == Rule(SpikeRegex.multiples(2), 2, 1)
 
     def test_delay_one_degenerates_to_a_hop(self):
-        plan, neurons, synapses = build_gadget(1, 1, IdAllocator(), "12")
-        assert plan.multiplier_ids == ()
-        assert plan.entry_ids == (plan.drain_id,)
-        assert len(neurons) == 2
+        neurons, synapses = build_gadget(1, 1, IdAllocator(), "12")
+        assert [n.id for n in neurons] == ["12-1", "12-exit"]  # no multipliers
+        assert [n.id for n in neurons[:1]] == ["12-1"]  # entries: the drain alone
+        assert neurons[-1].id == "12-exit"
         rules = {n.id: n.rules[0] for n in neurons}
         assert rules["12-1"] == Rule(SpikeRegex.multiples(1), 1, 1)
         assert rules["12-exit"] == Rule(SpikeRegex.multiples(1), 1, 1)
         assert synapses == {("12-1", "12-exit")}
 
     def test_multipliers_share_one_rule(self):
-        plan, neurons, _ = build_gadget(1, 4, IdAllocator(), "12")
-        by_id = {n.id: n for n in neurons}
-        multiplier_rules = [by_id[m].rules[0] for m in plan.multiplier_ids]
-        assert len(multiplier_rules) == 3
+        neurons, _ = build_gadget(1, 4, IdAllocator(), "12")
+        assert [n.id for n in neurons[:3]] == ["12-1", "12-2", "12-3"]  # entries
+        assert neurons[-2].id == "12-4"  # the drain
+        assert neurons[-1].id == "12-exit"
+        multiplier_rules = [n.rules[0] for n in neurons[:3]]
         assert all(rule is multiplier_rules[0] for rule in multiplier_rules)
 
     def test_gadgets_of_one_shape_share_their_rules(self):
         alloc = IdAllocator()
-        _, first, _ = build_gadget(2, 3, alloc, "12")
-        _, second, _ = build_gadget(2, 3, alloc, "13")
+        first, _ = build_gadget(2, 3, alloc, "12")
+        second, _ = build_gadget(2, 3, alloc, "13")
         assert [n.id for n in first] != [n.id for n in second]
         for a, b in zip(first, second):
             assert a.rules[0] is b.rules[0]
@@ -138,9 +142,10 @@ class TestBuildGadget:
 
     def test_allocator_dodges_taken_ids(self):
         alloc = IdAllocator(["12-1", "12-exit"])
-        plan, _, _ = build_gadget(1, 2, alloc, "12")
-        assert plan.multiplier_ids == ("12-1_2",)
-        assert plan.exit_id == "12-exit_2"
+        neurons, _ = build_gadget(1, 2, alloc, "12")
+        assert [n.id for n in neurons] == ["12-1_2", "12-2", "12-exit_2"]
+        assert neurons[0].id == "12-1_2"  # the entry: the one multiplier
+        assert neurons[-1].id == "12-exit_2"  # the exit
 
 
 class TestEliminateDelays:

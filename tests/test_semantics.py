@@ -234,6 +234,17 @@ class TestValidate:
         assert issues[4].endswith("negative delay")
 
 
+def test_constructors_store_their_arguments_as_given():
+    rules = (forward(),)
+    neurons = (Neuron("a", 1, rules), Neuron("b", 0, rules))
+    synapses = frozenset({("a", "b")})
+    system = SnpSystem(neurons, synapses, "b")
+    assert system.neurons is neurons
+    assert system.synapses is synapses
+    assert neurons[0].rules is rules
+    assert not hasattr(neurons[0], "__dict__")  # slotted
+
+
 @given(simple_systems())
 @settings(max_examples=80)
 def test_trace_invariants_on_random_systems(system):
