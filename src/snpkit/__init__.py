@@ -19,9 +19,7 @@ from .equivalence import Verdict, co_simulate, env_trajectory
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
 from .routing import Iteration, Join, Sequential, Split, compose, generate
 from .semantics import (
-    BudgetExhausted,
     Configuration,
-    Halted,
     NeuronState,
     NondeterministicChoice,
     Trace,
@@ -35,9 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchOverlapWarning",
-    "BudgetExhausted",
     "Configuration",
-    "Halted",
     "Iteration",
     "Join",
     "Neuron",

@@ -34,15 +34,19 @@ def _load(path: str):
 
 def _ever_closes(system, max_steps: int) -> bool:
     """Whether some neuron is closed in some configuration of the run, from a
-    run ahead of the one printed that stops at the first closed neuron or at a
-    recurrence (a run that recurs without closing a neuron never closes one)."""
+    run ahead of the one printed that stops at the first closed neuron, at a
+    recurrence (a run that recurs without closing a neuron never closes one)
+    or at a tie (the printed run stops there too)."""
     if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
         return False
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
-    for _ in kernel.ticks(max_steps):
-        if kernel.touched[0] or recurrence.recurs():  # touched[0]: the closed neurons
-            return bool(kernel.touched[0])
+    try:
+        for _ in kernel.ticks(max_steps):
+            if kernel.touched[0] or recurrence.recurs():  # touched[0]: the closed neurons
+                return bool(kernel.touched[0])
+    except NondeterministicChoice:
+        pass
     return False
 
 
@@ -89,6 +93,9 @@ def _warnings(result: TransformResult) -> list[str]:
 def _cmd_transform(args) -> int:
     system = _load(args.file)
     result = eliminate_delays(system)
+    document = serialize_system(result.target)
+    if args.out:
+        Path(args.out).write_text(document)
     for line in _accounting(result):
         print(line)
     if args.provenance:
@@ -99,10 +106,7 @@ def _cmd_transform(args) -> int:
             else:
                 role = f"{p.role} {p.index}" if p.role == "multiplier" else p.role
                 print(f"{nid} <- {p.source} ({role})")
-    document = serialize_system(result.target)
-    if args.out:
-        Path(args.out).write_text(document)
-    else:
+    if not args.out:
         print()
         print(document, end="")
     return EXIT_OK

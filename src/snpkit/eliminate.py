@@ -175,7 +175,7 @@ def _gadget_rules(j: int, d: int) -> tuple[tuple[Rule], tuple[Rule], tuple[Rule]
 
 
 def build_gadget(
-    j: int, d: int, alloc: IdAllocator, source_id: str = "g"
+    j: int, d: int, alloc: IdAllocator, source_id: str
 ) -> tuple[tuple[Neuron, ...], frozenset[tuple[str, str]]]:
     """Build the replacement subnet for a delayed rule (a^j)+ / a^j -> a ; d.
 

@@ -40,9 +40,6 @@ class SpikeRegex:
         """Every positive multiple of k, i.e. (a^k)+.  multiples(1) is a+."""
         return cls(((k, k),))
 
-    def __or__(self, other: "SpikeRegex") -> "SpikeRegex":
-        return SpikeRegex(self.terms + other.terms)
-
     def matches(self, k: int) -> bool:
         """Whether a count of k spikes belongs to the guard's language."""
         for offset, period in self.terms:

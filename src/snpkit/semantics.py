@@ -40,18 +40,19 @@ class NeuronState:
 
     ``closed_remaining`` counts ticks until the neuron reopens;
     ``pending_emission`` is the parked spike batch of the fired delayed rule
-    and is present exactly while the neuron is closed.
+    while the neuron is closed, and 0 while it is open, as in the ``Kernel``.
     """
 
     spikes: int
     closed_remaining: int = 0
-    pending_emission: int | None = None
+    pending_emission: int = 0
 
     def __post_init__(self):
-        if (self.pending_emission is not None) != (self.closed_remaining >= 1):
+        if self.closed_remaining >= 1:
+            if self.pending_emission < 1:
+                raise ValueError("pending emission must be a positive spike count")
+        elif self.pending_emission:
             raise ValueError("pending emission must be present exactly while closed")
-        if self.pending_emission is not None and self.pending_emission < 1:
-            raise ValueError("pending emission must be a positive spike count")
 
 
 @dataclass(frozen=True)
@@ -65,32 +66,16 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class Halted:
-    at: int
-
-
-@dataclass(frozen=True)
-class BudgetExhausted:
-    pass
-
-
-Outcome = Halted | BudgetExhausted
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Consecutive configurations from tick 0, with how the run ended."""
+    """Consecutive configurations from tick 0.  ``halted`` tells whether the
+    last one halts (at ``final.tick``) or the budget ran out on it."""
 
     configurations: tuple[Configuration, ...]
-    outcome: Outcome
+    halted: bool
 
     @property
     def final(self) -> Configuration:
         return self.configurations[-1]
-
-    @property
-    def halted(self) -> bool:
-        return isinstance(self.outcome, Halted)
 
 
 def initial_configuration(system: SnpSystem) -> Configuration:
@@ -176,11 +161,9 @@ def step(system: SnpSystem, config: Configuration) -> Configuration:
 
 
 def is_halting(system: SnpSystem, config: Configuration) -> bool:
-    """All neurons open, nothing pending, no rule enabled anywhere."""
+    """All neurons open (so nothing pending), no rule enabled anywhere."""
     for neuron, state in zip(system.neurons, config.states):
-        if state.closed_remaining >= 1 or state.pending_emission is not None:
-            return False
-        if enabled_rules(neuron, state):
+        if state.closed_remaining >= 1 or enabled_rules(neuron, state):
             return False
     return True
 
@@ -201,10 +184,10 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
     configs = [config]
     while not is_halting(system, config):
         if config.tick >= max_steps:
-            return Trace(tuple(configs), BudgetExhausted())
+            return Trace(tuple(configs), False)
         config = step(system, config)
         configs.append(config)
-    return Trace(tuple(configs), Halted(config.tick))
+    return Trace(tuple(configs), True)
 
 
 class Kernel:
@@ -258,7 +241,6 @@ class Kernel:
         event = self.event
         closed: list[int] = []
         dirty = set(range(len(spikes)))  # open neurons to check
-        spare: set[int] = set()  # the set checked last, reused for the next
         environment = 0
         tick = 0
         while True:
@@ -290,8 +272,7 @@ class Kernel:
             if ties:  # ``step`` meets the lowest tied neuron first
                 raise NondeterministicChoice(ids[min(ties)], tick + 1)
 
-            dirty, spare = spare, dirty
-            dirty.clear()
+            dirty = set()
             pool = []  # (origin, batch) emissions of this tick
             was_closed, closed = closed, []
             for i in was_closed:

@@ -319,7 +319,7 @@ def format_trace(
             c.tick,
             [s.spikes for s in c.states],
             [s.closed_remaining for s in c.states],
-            [s.pending_emission or 0 for s in c.states],
+            [s.pending_emission for s in c.states],
             c.environment,
             i == last and trace.halted,
         )

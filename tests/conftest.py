@@ -54,7 +54,7 @@ def assert_trace_invariants(system: SnpSystem, trace) -> None:
             if p.closed_remaining == 1:
                 # reopening neuron may receive this tick but cannot fire
                 assert c.spikes >= p.spikes
-                assert c.pending_emission is None
+                assert c.pending_emission == 0
             if c.closed_remaining >= 1:
                 # closed after the step: gained nothing from deliveries
                 assert c.spikes <= p.spikes

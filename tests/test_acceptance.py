@@ -12,7 +12,6 @@ import warnings
 
 from snpkit import (
     BatchOverlapWarning,
-    Halted,
     Iteration,
     Join,
     Neuron,
@@ -75,7 +74,7 @@ RELAY_ROWS = [
 
 def test_criterion_1_relay_golden_trace(relay):
     trace = run(relay, 100)
-    assert trace.outcome == Halted(5)
+    assert trace.halted and trace.final.tick == 5
     assert trace.final.environment == 1
     assert _pairs(trace) == RELAY_ROWS
     assert [c.environment for c in trace.configurations] == [0, 0, 0, 0, 0, 1]
@@ -126,7 +125,8 @@ def test_criterion_2_two_delay_chain_exact():
     assert _pairs(source_trace) == TWO_DELAY_SOURCE_ROWS
     assert _spikes(target_trace) == TWO_DELAY_TARGET_ROWS
     assert all(s.closed_remaining == 0 for c in target_trace.configurations for s in c.states)
-    assert source_trace.outcome == Halted(8) and target_trace.outcome == Halted(8)
+    assert source_trace.halted and source_trace.final.tick == 8
+    assert target_trace.halted and target_trace.final.tick == 8
     assert source_trace.final.environment == 1 and target_trace.final.environment == 1
     table = format_trace(target_trace, TraceStyle.TABLE)
     cells = [line.split("\t")[1:] for line in table.splitlines()]
@@ -163,7 +163,8 @@ def test_criterion_3_join_exact():
     target_trace = run(result.target, 100)
     assert _pairs(source_trace) == JOIN_SOURCE_ROWS
     assert _spikes(target_trace) == JOIN_TARGET_ROWS
-    assert source_trace.outcome == Halted(5) and target_trace.outcome == Halted(5)
+    assert source_trace.halted and source_trace.final.tick == 5
+    assert target_trace.halted and target_trace.final.tick == 5
     assert source_trace.final.environment == 1 and target_trace.final.environment == 1
     report(3, "join reproduces all 6 rows, both halt at 5 with env 1")
 
@@ -196,7 +197,7 @@ def test_criterion_4_single_delay_chain_with_documented_deviation():
     assert env == [0, 0, 0, 0, 0, 1]
     published_t3 = [0, 0, 0, 0, 1]
     assert rows[3] != published_t3, "derived row must differ from the published one"
-    assert trace.outcome == Halted(5)
+    assert trace.halted and trace.final.tick == 5
     report(4, "single-delay rows match (t3 uses the derived value)")
 
 

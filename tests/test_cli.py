@@ -135,6 +135,14 @@ def test_transform_accounting_and_output(relay_file, tmp_path, capsys):
     assert all(rule.delay == 0 for n in rewritten.neurons for rule in n.rules)
 
 
+def test_transform_prints_nothing_when_the_out_file_cannot_be_written(relay_file, tmp_path, capsys):
+    out_file = tmp_path / "missing-dir" / "rewritten.snp"
+    assert main(["transform", relay_file, "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_transform_to_stdout(relay_file, capsys):
     assert main(["transform", relay_file]) == 0
     out = capsys.readouterr().out
@@ -400,7 +408,7 @@ def expected_sim(system, steps, style, ascii_brackets):
         return text
     env = trace.final.environment
     if trace.halted:
-        return text + f"halted at tick {trace.outcome.at}, environment {env}\n"
+        return text + f"halted at tick {trace.final.tick}, environment {env}\n"
     return text + f"budget exhausted after {trace.final.tick} ticks, environment {env}\n"
 
 
@@ -421,19 +429,12 @@ def test_sim_streams_what_format_trace_renders(tmp_path_factory, system, steps, 
         expected = expected_sim(system, steps, style, ascii_brackets)
     except NondeterministicChoice as tie:
         # the stream stops after the last configuration before the tie, with
-        # no outcome; table style first runs ahead for a closing neuron, and
-        # a tie met there comes before any output
+        # no outcome
         assert (code, err) == (3, f"engine error: {tie}\n")
-        before = run(system, tie.tick - 1)
-        lines = format_trace(before, style, ascii_brackets, system).split("\n")
+        lines = format_trace(run(system, tie.tick - 1), style, ascii_brackets, system).split("\n")
         if style is TraceStyle.MACHINE:
             lines.pop()
-        closes = any(s.closed_remaining for c in before.configurations for s in c.states)
-        delayed = any(r.delay for n in system.neurons for r in n.rules)
-        if style is TraceStyle.TABLE and delayed and not closes:
-            assert out == ""
-        else:
-            assert out == "\n".join(lines) + "\n"
+        assert out == "\n".join(lines) + "\n"
         return
     assert (code, out, err) == (0, expected, "")
 
@@ -497,18 +498,28 @@ def test_table_shows_countdowns_when_a_delayed_rule_fires(relay_file):
     assert out.splitlines()[3] == "t2\t0/0\t0/2\t0/0\t0"
 
 
+# a delayed neuron after the tie, never reached: no neuron closes before it
+TIE_BEFORE_DELAY_DOC = TIE_LATER_DOC.replace(
+    "syn 1 -> 2\n", "neuron 3\nrule 3: a+ / a -> a ; 2\nsyn 1 -> 2\nsyn 2 -> 3\n"
+)
+
+
 @pytest.mark.parametrize("style", list(TraceStyle))
 def test_tie_after_tick_zero_stops_the_stream_without_an_outcome(tmp_path, style):
     path = tmp_path / "tie-later.snp"
-    path.write_text(TIE_LATER_DOC)
-    code, out, err = sim([str(path), "--style", style.value, "--ascii"])
-    assert code == 3
-    assert err == "engine error: neuron 2 has several enabled rules at tick 2\n"
-    lines = out.splitlines()
-    assert len(lines) == 2 + (style is not TraceStyle.PAPER)  # header, ticks 0 and 1
-    if style is TraceStyle.PAPER:
-        assert lines == ["C0 = <1/0, 0/0, 0>", "C1 = <0/0, 1/0, 0>"]
-    assert not any(word in out for word in ("halted", "budget", "outcome"))
+    for doc, paper in (
+        (TIE_LATER_DOC, ["C0 = <1/0, 0/0, 0>", "C1 = <0/0, 1/0, 0>"]),
+        (TIE_BEFORE_DELAY_DOC, ["C0 = <1/0, 0/0, 0/0, 0>", "C1 = <0/0, 1/0, 0/0, 0>"]),
+    ):
+        path.write_text(doc)
+        code, out, err = sim([str(path), "--style", style.value, "--ascii"])
+        assert code == 3
+        assert err == "engine error: neuron 2 has several enabled rules at tick 2\n"
+        lines = out.splitlines()
+        assert len(lines) == 2 + (style is not TraceStyle.PAPER)  # header, ticks 0 and 1
+        if style is TraceStyle.PAPER:
+            assert lines == paper
+        assert not any(word in out for word in ("halted", "budget", "outcome"))
 
 
 def test_negative_budget_is_rejected_before_any_output(relay_file):

@@ -41,8 +41,8 @@ def test_exactly():
     assert [k for k in range(10) if guard.matches(k)] == [3]
 
 
-def test_union_operator():
-    guard = SpikeRegex.exactly(1) | SpikeRegex.exactly(3)
+def test_union_of_terms():
+    guard = SpikeRegex(SpikeRegex.exactly(1).terms + SpikeRegex.exactly(3).terms)
     assert guard.terms == ((1, 0), (3, 0))
     assert [k for k in range(5) if guard.matches(k)] == [1, 3]
 

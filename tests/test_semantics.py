@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from snpkit import (
-    BudgetExhausted,
     Configuration,
-    Halted,
     Neuron,
     NeuronState,
     NondeterministicChoice,
@@ -98,7 +96,7 @@ class TestStep:
         sink = [c.states[3] for c in trace.configurations]
         assert sink[2].closed_remaining == 3
         assert all(s.spikes == 0 for s in sink[2:])
-        assert trace.outcome == Halted(5)
+        assert trace.halted and trace.final.tick == 5
         assert trace.final.environment == 1
 
     def test_drain_meters_one_batch_per_tick(self):
@@ -152,18 +150,18 @@ class TestHalting:
 class TestRun:
     def test_relay_golden_run(self, relay):
         trace = run(relay, 100)
-        assert trace.outcome == Halted(5)
+        assert trace.halted and trace.final.tick == 5
         assert trace.final.environment == 1
 
     def test_budget_exhausted(self, relay):
         trace = run(relay, 3)
-        assert trace.outcome == BudgetExhausted()
+        assert not trace.halted
         assert len(trace.configurations) == 4
 
     def test_halting_at_tick_zero(self):
         system = SnpSystem((Neuron("n", 0, (forward(),)),), frozenset(), "n")
         trace = run(system, 5)
-        assert trace.outcome == Halted(0)
+        assert trace.halted and trace.final.tick == 0
         assert len(trace.configurations) == 1
 
     def test_empty_system_is_refused(self):
@@ -175,7 +173,7 @@ class TestRun:
         from snpkit import Iteration, generate
 
         trace = run(generate(Iteration(2, "second")), 20)
-        assert trace.outcome == BudgetExhausted()
+        assert not trace.halted
         env = [c.environment for c in trace.configurations]
         bumps = [t for t in range(1, 21) if env[t] > env[t - 1]]
         assert bumps == [4, 8, 12, 16, 20]

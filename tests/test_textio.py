@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from snpkit import (
     Configuration,
-    Halted,
     Join,
     ParseError,
     Rule,
@@ -217,7 +216,7 @@ class TestTraceRendering:
         assert format_trace(trace, ascii_brackets=True).splitlines()[2] == "C2 = <0/0, 0/2, 0/0, 0>"
 
     def test_environment_only_vector(self):
-        trace = Trace((Configuration((), 0, 0),), Halted(0))
+        trace = Trace((Configuration((), 0, 0),), True)
         assert format_trace(trace) == "C0 = ⟨0⟩"
         assert format_trace(trace, ascii_brackets=True) == "C0 = <0>"
 
@@ -258,12 +257,12 @@ class TestTraceRendering:
                     "tick": c.tick,
                     "spikes": [s.spikes for s in c.states],
                     "closed": [s.closed_remaining for s in c.states],
-                    "pending": [s.pending_emission for s in c.states],
+                    "pending": [s.pending_emission or None for s in c.states],
                     "environment": c.environment,
                 }
             )
         if trace.halted:
-            records.append({"outcome": "halted", "at": trace.outcome.at})
+            records.append({"outcome": "halted", "at": trace.final.tick})
         else:
             records.append({"outcome": "budget-exhausted"})
         expected = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
