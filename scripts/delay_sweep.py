@@ -23,10 +23,9 @@ from snpkit import (
     Sequential,
     Split,
     check_count_law,
-    co_simulate,
     compose,
-    eliminate_delays,
     generate,
+    verify,
 )
 
 
@@ -70,8 +69,7 @@ def main():
     count_law_failures = []
     for instance in sweep_instances():
         source = generate(instance)
-        result = eliminate_delays(source)
-        verdict = co_simulate(result.normalized_source, result.target, args.bound)
+        result, verdict = verify(source, args.bound)
         total += 1
         if not check_count_law(result):
             count_law_failures.append(source.name)
@@ -95,10 +93,9 @@ def main():
         warnings.simplefilter("ignore", BatchOverlapWarning)
         for i in range(args.compositions):
             parts = [random_instance(rng) for _ in range(rng.randint(2, 4))]
-            result = eliminate_delays(compose(parts, name=f"composite-{i}"))
+            result, verdict = verify(compose(parts, name=f"composite-{i}"), args.bound)
             if not check_count_law(result):
                 count_law_failures.append(f"composite-{i}")
-            verdict = co_simulate(result.normalized_source, result.target, args.bound)
             if result.hazards:
                 if verdict.equivalent:
                     flagged_equivalent += 1

@@ -9,17 +9,16 @@ from snpkit import (
     Join,
     Sequential,
     TraceStyle,
-    co_simulate,
-    eliminate_delays,
     format_trace,
     generate,
     run,
+    verify,
 )
 
 
 def show(instance):
     source = generate(instance)
-    result = eliminate_delays(source)
+    result, verdict = verify(source, 200)
     source_trace = run(result.normalized_source, 100)
     target_trace = run(result.target, 100)
     print(f"=== {source.name} ===")
@@ -27,7 +26,6 @@ def show(instance):
     print(format_trace(source_trace, TraceStyle.TABLE, system=result.normalized_source))
     print(f"target neurons: {', '.join(result.target.ids)}")
     print(format_trace(target_trace, TraceStyle.TABLE, system=result.target))
-    verdict = co_simulate(result.normalized_source, result.target, 200)
     print(
         f"halting: source {verdict.source_halt}, target {verdict.target_halt}; "
         f"environment: {verdict.source_env_at_halt} / {verdict.target_env_at_halt}; "

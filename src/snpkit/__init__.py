@@ -15,7 +15,7 @@ from .eliminate import (
     check_count_law,
     eliminate_delays,
 )
-from .equivalence import Verdict, co_simulate, env_trajectory
+from .equivalence import Verdict, co_simulate, env_trajectory, verify
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validate
 from .routing import Iteration, Join, Sequential, Split, compose, generate
 from .semantics import (
@@ -67,4 +67,5 @@ __all__ = [
     "serialize_system",
     "step",
     "validate",
+    "verify",
 ]

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedRule, eliminate_delays
-from .equivalence import co_simulate
+from .equivalence import verify
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
 from .semantics import Kernel, NondeterministicChoice, Recurrence
@@ -83,11 +83,11 @@ def _accounting(result: TransformResult) -> list[str]:
         f"added neurons net of feeders: {result.added_count - len(result.feeders)}"
         f" = sum of delays: {sum(delays)}",
     ]
-    return lines + _warnings(result)
+    return lines + _warnings(result.hazards)
 
 
-def _warnings(result: TransformResult) -> list[str]:
-    return [f"warning: {hazard}" for hazard in result.hazards]
+def _warnings(hazards: tuple[str, ...]) -> list[str]:
+    return [f"warning: {hazard}" for hazard in hazards]
 
 
 def _cmd_transform(args) -> int:
@@ -114,12 +114,14 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     system = _load(args.file)
-    if args.bound < 0:
-        raise ValueError("bound must be >= 0")
-    result = eliminate_delays(system)
-    for line in _warnings(result):
+    try:
+        result, verdict = verify(system, args.bound)
+    except NondeterministicChoice as err:
+        for line in _warnings(err.hazards):
+            print(line)
+        raise
+    for line in _warnings(result.hazards):
         print(line)
-    verdict = co_simulate(result.normalized_source, result.target, args.bound)
     for label, halt, env in (
         ("source", verdict.source_halt, verdict.source_env_at_halt),
         ("target", verdict.target_halt, verdict.target_env_at_halt),

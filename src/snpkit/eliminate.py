@@ -97,13 +97,34 @@ class Provenance:
 class TransformResult:
     normalized_source: SnpSystem
     target: SnpSystem
-    provenance: dict[str, Provenance]
     feeders: tuple[str, ...]
+    # each replaced neuron's subnet ids: its multipliers, then drain and exit
+    gadgets: dict[str, tuple[str, ...]]
     # the eliminated delays in the normalized source's order; their sum is
     # the neuron growth net of feeders (the count law)
     delays: tuple[int, ...]
     added_count: int
     hazards: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def provenance(self) -> dict[str, Provenance]:
+        """Where each target neuron comes from, in the target's order; built
+        on first read from the feeders and the subnets."""
+        source = self.normalized_source
+        ids = source.ids
+        feeds = {f: ids[source.successors[source.index[f]][0]] for f in self.feeders}
+        provenance: dict[str, Provenance] = {}
+        for nid in ids:
+            gadget = self.gadgets.get(nid)
+            if gadget is None:
+                provenance[nid] = Provenance(feeds[nid], "feeder") if nid in feeds else Provenance(nid)
+                continue
+            *multipliers, drain, exit_ = gadget
+            for i, m in enumerate(multipliers, start=1):
+                provenance[m] = Provenance(nid, "multiplier", i)
+            provenance[drain] = Provenance(nid, "drain")
+            provenance[exit_] = Provenance(nid, "exit")
+        return provenance
 
 
 def check_count_law(result: TransformResult) -> bool:
@@ -219,6 +240,16 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     queued in the normalized source's run; a BatchOverlapWarning names the
     first such event, or says the run left it undecided (``batch_hazards``).
     """
+    result = rewrite(system)
+    hazards = tuple(batch_hazards(result.normalized_source))
+    for message in hazards:
+        warnings.warn(BatchOverlapWarning(message), stacklevel=2)
+    return replace(result, hazards=hazards)
+
+
+def rewrite(system: SnpSystem) -> TransformResult:
+    """``eliminate_delays`` without the overlap check: ``hazards`` is empty
+    and nothing is warned."""
     normalized, feeder_ids = normalize_initial(system)
     delays = tuple(r.delay for n in normalized.neurons for r in n.rules if r.delayed)
     if sum(delays) > MAX_ADDED_NEURONS:
@@ -227,35 +258,23 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
             f"{MAX_ADDED_NEURONS} neurons"
         )
 
+    gadgets: dict[str, tuple[str, ...]] = {}  # replaced id -> its subnet's ids
     entries: dict[str, tuple[str, ...]] = {}  # replaced id -> its subnet's entry ids
     exits: dict[str, str] = {}  # replaced id -> its subnet's exit id
     synapses: set[tuple[str, str]] = set()
     alloc = IdAllocator(n.id for n in normalized.neurons)
     target_neurons: list[Neuron] = []
-    provenance: dict[str, Provenance] = {}
-    feeds: dict[str, str] = {}  # feeder id -> the neuron it feeds, its one successor
-    for f in feeder_ids:
-        feeds[f] = normalized.neurons[normalized.successors[normalized.index[f]][0]].id
-
     for neuron in normalized.neurons:
         rule = _delayed_rule(neuron)
         if rule is None:
             target_neurons.append(neuron)
-            if neuron.id in feeds:
-                provenance[neuron.id] = Provenance(feeds[neuron.id], "feeder")
-            else:
-                provenance[neuron.id] = Provenance(neuron.id)
             continue
         gadget_neurons, gadget_synapses = build_gadget(rule.consume, rule.delay, alloc, neuron.id)
-        *multiplier_ids, drain_id, exit_id = (n.id for n in gadget_neurons)
-        entries[neuron.id] = tuple(multiplier_ids) or (drain_id,)
-        exits[neuron.id] = exit_id
+        ids = gadgets[neuron.id] = tuple(n.id for n in gadget_neurons)
+        entries[neuron.id] = ids[:-2] or ids[-2:-1]  # the multipliers, or the drain
+        exits[neuron.id] = ids[-1]
         synapses |= gadget_synapses
         target_neurons.extend(gadget_neurons)
-        for i, m in enumerate(multiplier_ids, start=1):
-            provenance[m] = Provenance(neuron.id, "multiplier", i)
-        provenance[drain_id] = Provenance(neuron.id, "drain")
-        provenance[exit_id] = Provenance(neuron.id, "exit")
 
     for a, b in normalized.synapses:
         s = exits.get(a, a)
@@ -266,19 +285,13 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     target = SnpSystem(
         tuple(target_neurons), frozenset(synapses), output, f"{normalized.name}-delay-free"
     )
-
-    hazards = tuple(batch_hazards(normalized))
-    for message in hazards:
-        warnings.warn(BatchOverlapWarning(message), stacklevel=2)
-
     return TransformResult(
         normalized_source=normalized,
         target=target,
-        provenance=provenance,
         feeders=feeder_ids,
+        gadgets=gadgets,
         delays=delays,
         added_count=len(target.neurons) - len(system.neurons),
-        hazards=hazards,
     )
 
 
@@ -292,12 +305,40 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
 _HAZARD_TICKS = 10_000
 
 
+def _hazard(kind: str, neuron: str, tick: int) -> str:
+    """The message of a ``"lost"`` or ``"queued"`` event, or of a ``"tie"``,
+    at ``neuron`` and ``tick``."""
+    if kind == "lost":
+        return (
+            f"neuron {neuron} is closed when a spike batch reaches it "
+            f"at tick {tick}; the source loses the batch, the delay-free target keeps it"
+        )
+    if kind == "queued":
+        return (
+            f"neuron {neuron} fires at tick {tick} with a batch still queued; "
+            "the source fires the queued batch after reopening, the delay-free target at once"
+        )
+    return f"undecided at tick {tick}: neuron {neuron} has several enabled rules"
+
+
+def _undecided() -> str:
+    """The message of a run that neither halts nor recurs within the budget."""
+    return (
+        f"undecided at tick {_HAZARD_TICKS}: the source neither halts nor recurs "
+        f"within {_HAZARD_TICKS} ticks"
+    )
+
+
+def _has_delays(system: SnpSystem) -> bool:
+    return any(rule.delayed for neuron in system.neurons for rule in neuron.rules)
+
+
 def batch_hazards(system: SnpSystem) -> list[str]:
     """The first event of the source's run that the rewrite does not
     reproduce, as a one-item list; [] when the run halts or recurs without
     one.  A run that meets a tie, or neither halts nor recurs within a
     fixed number of ticks, is reported undecided."""
-    if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
+    if not _has_delays(system):
         return []
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
@@ -305,21 +346,40 @@ def batch_hazards(system: SnpSystem) -> list[str]:
         for tick, _, halted in kernel.ticks(_HAZARD_TICKS):
             if kernel.event is not None:
                 kind, i, at = kernel.event
-                if kind == "lost":
-                    return [
-                        f"neuron {kernel.ids[i]} is closed when a spike batch reaches it "
-                        f"at tick {at}; the source loses the batch, the delay-free target keeps it"
-                    ]
-                return [
-                    f"neuron {kernel.ids[i]} fires at tick {at} with a batch still queued; "
-                    "the source fires the queued batch after reopening, "
-                    "the delay-free target at once"
-                ]
+                return [_hazard(kind, kernel.ids[i], at)]
             if halted or recurrence.recurs():
                 return []
     except NondeterministicChoice as err:
-        return [f"undecided at tick {err.tick}: neuron {err.neuron} has several enabled rules"]
-    return [
-        f"undecided at tick {tick}: the source neither halts nor recurs "
-        f"within {_HAZARD_TICKS} ticks"
-    ]
+        return [_hazard("tie", err.neuron, err.tick)]
+    return [_undecided()]
+
+
+def hazards_from_run(
+    system: SnpSystem,
+    event: tuple[str, str, int] | None,
+    halt: int | None,
+    settled: int | None,
+) -> list[str] | None:
+    """What ``batch_hazards(system)`` returns, worked out from another run
+    of ``system``: its first ``event`` ("lost" or "queued", neuron, tick) as
+    far as that run went, or None; its ``halt``ing tick or None; and the
+    tick at which halting or a ``Recurrence`` proof ``settled`` the whole
+    run, or None.  None when these facts leave the answer open.
+
+    The check stops at the first event, a tie, halting, its own recurrence
+    proof or its budget.  Nothing comes after a recurrence proof that did
+    not come before it, so the first event is the answer when it comes
+    within the budget, and a settled run without one gets [] when it halts
+    within the budget or the check's own proof (``Recurrence.proved_by``)
+    comes there.  Past the budget the run is undecided.
+    """
+    if not _has_delays(system):
+        return []
+    if event is not None:
+        kind, neuron, at = event
+        return [_hazard(kind, neuron, at) if at <= _HAZARD_TICKS else _undecided()]
+    if halt is not None:
+        return [] if halt <= _HAZARD_TICKS else [_undecided()]
+    if settled is not None and Recurrence.proved_by(settled) <= _HAZARD_TICKS:
+        return []
+    return None

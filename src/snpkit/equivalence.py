@@ -16,9 +16,11 @@ change the verdict, and returns exactly the verdict of a run to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import Iterator
 
+from .eliminate import BatchOverlapWarning, TransformResult, batch_hazards, hazards_from_run, rewrite
 from .model import SnpSystem
 from .semantics import Kernel, NondeterministicChoice, Recurrence
 
@@ -36,6 +38,12 @@ class Verdict:
     trajectory_equal_through: int
     first_divergence: tuple[int, int, int] | None  # (tick, source env, target env)
     bound: int
+    # the source's first event ("lost" or "queued", neuron, tick), as far as
+    # its run was simulated
+    source_event: tuple[str, str, int] | None
+    # the tick by which the source's whole run was settled, by halting or by
+    # a recurrence proof; None when co-simulation stopped first
+    source_settled: int | None
 
     @property
     def equivalent(self) -> bool:
@@ -72,6 +80,11 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     once the tick reaches the larger side's neuron count: a pair that halts
     sooner does not pay for them.
 
+    The verdict also records two facts of the source's run that the
+    co-simulation has anyway: its first event that the rewrite does not
+    reproduce (``Kernel.event``), as far as the run went, and the tick at
+    which its halting or a recurrence proof settled the whole run.
+
     Only the kernels' state and one saved copy of it are kept, so memory
     does not grow with the bound.  A malformed system raises
     ValidationError before any tick is simulated, the source's first.  An
@@ -84,14 +97,14 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     src_ticks, tgt_ticks = src.ticks(bound), tgt.ticks(bound)
     joint = Recurrence(src, tgt)
     start = max(len(source.neurons), len(target.neurons))
-    source_halt = target_halt = first_divergence = None
+    source_halt = target_halt = first_divergence = settled = None
     try:
         while True:
             if source_halt is None:
                 side = "source"
                 tick, a, halted = next(src_ticks)
                 if halted:
-                    source_halt = tick
+                    source_halt = settled = tick
             if target_halt is None:
                 side = "target"
                 tick, b, halted = next(tgt_ticks)
@@ -103,18 +116,25 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
             if tick == bound or (source_halt is not None and target_halt is not None):
                 break
             if tick >= start and joint.recurs():
+                if settled is None:
+                    settled = tick
                 break
     except NondeterministicChoice as err:
         err.system = side
         if side == "target" and source_halt is None:
-            _halting(src, src_ticks, "source")  # raises the source's own error first
+            _run_alone(src, src_ticks, "source")  # raises the source's own error first
         raise
     if first_divergence is not None:
         if source_halt is None:
-            source_halt, a = _halting(src, src_ticks, "source")
+            settled, a, halted = _run_alone(src, src_ticks, "source")
+            if halted:
+                source_halt = settled
         if target_halt is None:
-            target_halt, b = _halting(tgt, tgt_ticks, "target")
+            tick, b, halted = _run_alone(tgt, tgt_ticks, "target")
+            if halted:
+                target_halt = tick
 
+    event = src.event
     if source_halt is None and target_halt is None:
         r1 = r2 = None
     else:
@@ -130,21 +150,57 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
         trajectory_equal_through=bound if first_divergence is None else first_divergence[0] - 1,
         first_divergence=first_divergence,
         bound=bound,
+        source_event=None if event is None else (event[0], src.ids[event[1]], event[2]),
+        source_settled=settled,
     )
 
 
-def _halting(kernel: Kernel, ticks: Iterator, label: str) -> tuple[int | None, int | None]:
-    """``(halting tick, environment)`` of one side run on alone from where
-    ``ticks`` stands, or ``(None, None)`` once it reaches the bound or
-    recurs.  ``label`` names the side on a NondeterministicChoice."""
+def _run_alone(kernel: Kernel, ticks: Iterator, label: str) -> tuple[int | None, int | None, bool]:
+    """``(tick, environment, halted)`` where one side, run on alone from
+    where ``ticks`` stands, halts or provably recurs, or ``(None, None,
+    False)`` once it reaches the bound.  ``label`` names the side on a
+    NondeterministicChoice."""
     recurrence = Recurrence(kernel)
     try:
         for tick, environment, halted in ticks:
-            if halted:
-                return tick, environment
-            if recurrence.recurs():
-                return None, None
+            if halted or recurrence.recurs():
+                return tick, environment, halted
     except NondeterministicChoice as err:
         err.system = label
         raise
-    return None, None
+    return None, None, False
+
+
+def verify(system: SnpSystem, bound: int = 200) -> tuple[TransformResult, Verdict]:
+    """Rewrite ``system`` delay-free and co-simulate the target against the
+    normalized source for up to ``bound`` ticks, simulating each system once
+    unless the hazards need the overlap check's own run.
+
+    The result is ``eliminate_delays``' and the verdict ``co_simulate``'s,
+    and each hazard is issued as a BatchOverlapWarning, as
+    ``eliminate_delays`` does.  The hazards come from the co-simulated run
+    of the source (``hazards_from_run``); only when that run leaves them
+    open is ``batch_hazards`` run on the source.  The errors are those of
+    ``eliminate_delays`` and ``co_simulate``; a NondeterministicChoice from
+    co-simulation carries the hazards, from ``batch_hazards``, as its
+    ``hazards`` attribute, and they are warned before it is raised.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    result = rewrite(system)
+    source = result.normalized_source
+    try:
+        verdict = co_simulate(source, result.target, bound)
+    except NondeterministicChoice as err:
+        err.hazards = tuple(batch_hazards(source))
+        for message in err.hazards:
+            warnings.warn(BatchOverlapWarning(message), stacklevel=2)
+        raise
+    hazards = hazards_from_run(
+        source, verdict.source_event, verdict.source_halt, verdict.source_settled
+    )
+    if hazards is None:
+        hazards = batch_hazards(source)
+    for message in hazards:
+        warnings.warn(BatchOverlapWarning(message), stacklevel=2)
+    return replace(result, hazards=tuple(hazards)), verdict

@@ -20,7 +20,8 @@ class NondeterministicChoice(Exception):
 
     Only deterministic systems are supported; a tie is a hard error rather
     than a silent arbitrary pick.  ``system`` identifies which side raised
-    when the error surfaces from a co-simulation.
+    when the error surfaces from a co-simulation; ``equivalence.verify``
+    also gives it the rewrite's ``hazards``.
     """
 
     def __init__(self, neuron: str, tick: int, system: str | None = None):
@@ -374,6 +375,23 @@ class Recurrence:
             self.power *= 2
             self.steps = 0
         return False
+
+    @staticmethod
+    def proved_by(tick: int) -> int:
+        """A tick by which a ``Recurrence`` called on every tick from tick 0
+        proves a run recurrent that some ``Recurrence`` proved so at
+        ``tick``.
+
+        That proof related tick t = ``tick`` to some saved s < t, and the
+        relation then holds between every tick x >= s and x + (t - s).  This
+        schedule saves at ticks 2^m - 2 and compares the next 2^m ticks with
+        each save, so the first save at t - 1 or later proves it within
+        t - s <= t ticks.
+        """
+        save = 0
+        while save < tick - 1:
+            save = 2 * save + 2
+        return save + tick
 
 
 def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:

@@ -6,14 +6,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snpkit import (
+    BatchOverlapWarning,
     Join,
     NondeterministicChoice,
     Sequential,
@@ -23,11 +25,12 @@ from snpkit import (
     model,
     parse_system,
     run,
+    semantics,
     serialize_system,
 )
 from snpkit.cli import _ever_closes, main
 
-from .conftest import simple_systems, two_rule_systems
+from .conftest import periodic_systems, simple_systems, two_rule_systems
 
 RELAY_DOC = """\
 system relay
@@ -389,6 +392,85 @@ def test_tie_in_the_overlap_check_is_undecided(tmp_path, capsys):
         assert main(["verify", str(path)]) == 3
     err = capsys.readouterr().err
     assert err == "engine error: neuron 1 has several enabled rules at tick 1 in source\n"
+
+
+def warned(argv):
+    """The ``warning:`` lines of one CLI call and the BatchOverlapWarning
+    messages it issued."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        main(argv)
+    lines = [line for line in out.getvalue().splitlines() if line.startswith("warning: ")]
+    return lines, [str(w.message) for w in caught if w.category is BatchOverlapWarning]
+
+
+def late_loop(spikes):
+    """A loop that starts repeating once ``t`` has spent its spikes, one a
+    tick, beside a delayed neuron that never fires."""
+    return parse_system(
+        f"system late-loop\nneuron t spikes={spikes}\nrule t: a+ / a -> a\n"
+        "neuron A spikes=1\nrule A: a+ / a -> a\nneuron B\nrule B: a+ / a -> a\n"
+        "neuron d\nrule d: a+ / a -> a ; 2\nsyn A -> B\nsyn B -> A\nout A\n"
+    )
+
+
+# a batch lost at tick 10002, after the overlap check's budget: ``acc``
+# fires once it holds the 10,000 spikes ``t`` sends one a tick
+LATE_LOSS = parse_system(
+    "system late-loss\nneuron t spikes=10000\nrule t: a+ / a -> a\n"
+    "neuron acc\nrule acc: a^10000 / a^10000 -> a\nneuron e\nrule e: a+ / a -> a\n"
+    "neuron d\nrule d: a+ / a -> a ; 2\n"
+    "syn t -> acc\nsyn acc -> d\nsyn acc -> e\nsyn e -> d\nout d\n"
+)
+# halts at tick 10005 with no event, after the budget
+LATE_HALT = parse_system(
+    "system late-halt\nneuron t spikes=10005\nrule t: a+ / a -> a\n"
+    "neuron d\nrule d: a+ / a -> a ; 2\nout t\n"
+)
+
+
+@given(
+    st.one_of(simple_systems(), two_rule_systems(), periodic_systems()),
+    st.one_of(st.integers(0, 300), st.just(1500)),
+)
+# the hazards that co-simulation leaves open, or settles only past the
+# budget: a run cut at the bound, a tie, an event or a halt after the
+# budget, and recurrences that the overlap check proves only after
+# co-simulation does (at 8,192 of 10,000 ticks) or not within its budget
+@example(parse_system(QUEUED_LOOP_DOC), 0)
+@example(parse_system(QUEUED_LOOP_DOC), 5)
+@example(parse_system(RELAY_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a\nrule 1: a / a -> a\n")), 200)
+@example(parse_system(TIE_LATER_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a ; 1\n")), 200)
+@example(LATE_LOSS, 20_000)
+@example(LATE_LOSS, 1500)
+@example(LATE_HALT, 20_000)
+@example(late_loop(5000), 20_000)
+@example(late_loop(8500), 20_000)
+@settings(max_examples=300, deadline=None)
+def test_verify_warns_what_transform_warns(tmp_path_factory, system, bound):
+    # verify takes the hazards from its co-simulated run of the source,
+    # transform from a run of its own
+    path = tmp_path_factory.mktemp("agree") / "system.snp"
+    path.write_text(serialize_system(system))
+    expected = warned(["transform", str(path)])
+    assert warned(["verify", str(path), "--bound", str(bound)]) == expected
+
+
+def test_verify_simulates_each_system_once(tmp_path, monkeypatch):
+    source = generate(Sequential((2,) * 40))
+    path = tmp_path / "chain.snp"
+    path.write_text(serialize_system(source))
+    built = []
+    original = semantics.Kernel.__init__
+
+    def counted(self, system):
+        built.append(system.name)
+        original(self, system)
+
+    monkeypatch.setattr(semantics.Kernel, "__init__", counted)
+    assert main(["verify", str(path), "--bound", "1500"]) == 0
+    assert sorted(built) == [source.name, f"{source.name}-delay-free"]
 
 
 def sim(argv):

@@ -1,5 +1,6 @@
 """Feeder normalization, gadget construction, and the full rewrite."""
 
+import random
 import tracemalloc
 import warnings
 
@@ -28,10 +29,19 @@ from snpkit import (
     env_trajectory,
     generate,
 )
-from snpkit.eliminate import IdAllocator, build_gadget, normalize_initial
+from snpkit.eliminate import IdAllocator, Provenance, build_gadget, normalize_initial
 from snpkit.semantics import Kernel
+from snpkit.textio import parse_system
 
-from .conftest import periodic_systems, simple_systems, two_rule_systems
+from .conftest import (
+    SYSTEMS_DIR,
+    iteration_instances,
+    periodic_systems,
+    random_instance,
+    simple_systems,
+    sweep_instances,
+    two_rule_systems,
+)
 
 
 def forward(delay=0):
@@ -269,6 +279,61 @@ class TestEliminateDelays:
         with pytest.raises(RewriteTooLarge, match=f"the delays sum to {2 * half}") as err:
             eliminate_delays(system)
         assert isinstance(err.value, ValueError)
+
+
+def eager_provenance(result):
+    """The provenance map built as the rewrite goes, neuron by neuron: the
+    subnet ids come again from ``build_gadget`` with an allocator seeded as
+    the rewrite's."""
+    source = result.normalized_source
+    alloc = IdAllocator(source.ids)
+    expected = {}
+    for neuron in source.neurons:
+        delayed = [r for r in neuron.rules if r.delayed]
+        if not delayed:
+            if neuron.id in result.feeders:
+                (fed,) = source.successors[source.index[neuron.id]]
+                expected[neuron.id] = Provenance(source.neurons[fed].id, "feeder")
+            else:
+                expected[neuron.id] = Provenance(neuron.id)
+            continue
+        (rule,) = delayed
+        neurons, _ = build_gadget(rule.consume, rule.delay, alloc, neuron.id)
+        *multipliers, drain, exit_ = (n.id for n in neurons)
+        for i, m in enumerate(multipliers, start=1):
+            expected[m] = Provenance(neuron.id, "multiplier", i)
+        expected[drain] = Provenance(neuron.id, "drain")
+        expected[exit_] = Provenance(neuron.id, "exit")
+    return expected
+
+
+def test_provenance_is_built_on_first_read(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Provenance(*args)
+
+    monkeypatch.setattr(eliminate, "Provenance", counted)
+    result = transform_quietly(generate(Iteration(3, "first")))
+    assert made == [] and "provenance" not in result.__dict__
+    provenance = result.provenance
+    assert len(made) == len(result.target.neurons)
+    assert result.provenance is provenance  # built once
+
+
+def test_provenance_is_the_map_built_as_the_rewrite_goes():
+    rng = random.Random(9)
+    systems = [generate(instance) for instance in sweep_instances() + iteration_instances()]
+    systems += [
+        compose([random_instance(rng) for _ in range(rng.randint(2, 4))], name=f"composite-{i}")
+        for i in range(150)
+    ]
+    systems += [parse_system(path.read_text()) for path in sorted(SYSTEMS_DIR.glob("*.snp"))]
+    for system in systems:
+        result = transform_quietly(system)
+        assert list(result.provenance.items()) == list(eager_provenance(result).items())
+        assert list(result.provenance) == list(result.target.ids)
 
 
 class TestBatchHazards:

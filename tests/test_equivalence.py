@@ -22,6 +22,7 @@ from snpkit import (
     eliminate_delays,
     env_trajectory,
     generate,
+    verify,
 )
 
 
@@ -173,3 +174,35 @@ def test_halting_compositions_stay_equivalent():
         assert result.hazards == ()
         verdict = co_simulate(result.normalized_source, result.target, 200)
         assert verdict.r1_holds and verdict.r2_holds and verdict.first_divergence is None
+
+
+def test_verify_is_the_rewrite_then_co_simulation():
+    # the pair the two calls give, with the source's first event and the
+    # tick its run was settled: a lost batch, a halt, a recurrence
+    hazardous = SnpSystem(
+        (
+            Neuron("A", 1, (Rule.semi_homogeneous(1),)),
+            Neuron("B", 0, (Rule.semi_homogeneous(1),)),
+            Neuron("S", 0, (Rule.semi_homogeneous(1, delay=3),)),
+            Neuron("O", 0, (Rule.semi_homogeneous(1),)),
+        ),
+        frozenset({("A", "B"), ("B", "A"), ("B", "S"), ("S", "O")}),
+        "O",
+    )
+    cases = [
+        (hazardous, 60, ("lost", "S", 4), 16),
+        (generate(Sequential((2, 3))), 200, None, 8),
+        (generate(Iteration(3, "second")), 200, None, 16),
+    ]
+    for system, bound, event, settled in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = eliminate_delays(system)
+            result, verdict = verify(system, bound)
+        assert result == expected
+        assert verdict == co_simulate(result.normalized_source, result.target, bound)
+        assert (verdict.source_event, verdict.source_settled) == (event, settled)
+        messages = [str(w.message) for w in caught]
+        assert messages == list(expected.hazards) * 2
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        verify(hazardous, -1)
