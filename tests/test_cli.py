@@ -531,6 +531,30 @@ def test_sim_matches_format_trace_on_the_relay(relay_file, style, steps):
     )
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
+
+@pytest.mark.parametrize(
+    "path, steps",
+    # both recur, at ticks 8 and 26; the budgets reach at least 5 times as far
+    [(SYSTEMS / "iteration-d2.snp", 60), (GOLDEN / "dense-20.snp", 140)],
+    ids=["iteration-d2", "dense-20"],
+)
+@pytest.mark.parametrize(
+    "style, options",
+    [
+        ("machine", ["--style", "machine"]),
+        ("table", ["--style", "table"]),
+        ("paper", ["--style", "paper"]),
+        ("paper-ascii", ["--style", "paper", "--ascii"]),
+    ],
+)
+def test_sim_prints_the_pinned_run(path, steps, style, options):
+    golden = (GOLDEN / f"sim-{path.stem}.{style}.stdout").read_text()
+    assert sim([str(path), "--max-steps", str(steps), *options]) == (0, golden, "")
+
+
 def test_table_shows_bare_counts_when_no_delayed_rule_fires(tmp_path):
     # neuron 2's delayed rule needs five spikes and never gets them
     doc = RELAY_DOC.replace("rule 2: a+ / a -> a ; 2", "rule 2: a^5 / a^5 -> a ; 2")
