@@ -18,7 +18,7 @@ from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedR
 from .equivalence import verify
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
-from .semantics import Kernel, NondeterministicChoice, Recurrence
+from .semantics import Kernel, NondeterministicChoice, Recurrence, frames
 from .textio import ParseError, TraceStyle, export_dot, parse_system, serialize_system, trace_lines
 
 EXIT_OK = 0
@@ -51,7 +51,7 @@ def _ever_closes(system, max_steps: int) -> bool:
 
 
 def _cmd_sim(args) -> int:
-    """Print each configuration as the kernel reaches it; no trace is kept.
+    """Print each configuration as ``frames`` gives it; no trace is kept.
 
     The outcome record (machine style) or halting line comes last and only
     on success: an engine error stops the stream without one.
@@ -61,14 +61,9 @@ def _cmd_sim(args) -> int:
         raise ValueError("max_steps must be >= 0")
     style = TraceStyle(args.style)
     closes = style is TraceStyle.TABLE and _ever_closes(system, args.max_steps)
-    kernel = Kernel(system)
-    spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
-    frames = (
-        (tick, spikes, countdown, pending, environment, halted)
-        for tick, environment, halted in kernel.ticks(args.max_steps)
-    )
+    run = frames(system, args.max_steps)
     write = sys.stdout.write
-    for line in trace_lines(frames, style, args.ascii, system, closes, halting_line=True):
+    for line in trace_lines(run, style, args.ascii, system, closes, halting_line=True):
         write(line + "\n")
     return EXIT_OK
 

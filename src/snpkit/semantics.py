@@ -9,6 +9,7 @@ and the parked emission is released the moment it reopens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
 from typing import Iterator
 
@@ -331,6 +332,12 @@ class Recurrence:
     tick.  So every tick after t repeats the tick t - s earlier: a kernel
     halted at t had halted by s, one running never halts, and no tie or
     event comes after t that did not come between s and t.
+
+    Once ``recurs`` has returned True, ``period`` is the number of calls
+    from the one that saved the copy to that one: t - s when it is called
+    on every tick.  Every tick x >= t then holds, on every kernel, the
+    counts of tick x - period grown by those of t less those of s, the same
+    countdowns and pending batches, and an environment grown likewise.
     """
 
     def __init__(self, *kernels: Kernel):
@@ -376,6 +383,11 @@ class Recurrence:
             self.steps = 0
         return False
 
+    @property
+    def period(self) -> int:
+        """t - s of the proof, valid once ``recurs`` has returned True."""
+        return self.steps + 1
+
     @staticmethod
     def proved_by(tick: int) -> int:
         """A tick by which a ``Recurrence`` called on every tick from tick 0
@@ -392,6 +404,52 @@ class Recurrence:
         while save < tick - 1:
             save = 2 * save + 2
         return save + tick
+
+
+def frames(
+    system: SnpSystem, max_steps: int
+) -> Iterator[tuple[int, list[int], list[int], list[int], int, bool]]:
+    """Every configuration of the run as ``(tick, spikes, countdown, pending,
+    environment, halted)``: the kernel's state at each tick of
+    ``Kernel.ticks``, to the first halting configuration or tick
+    ``max_steps``.
+
+    From tick ``len(system.neurons)`` on, the run is checked for recurrence
+    on every tick.  Once a ``Recurrence`` proves it at tick t with period P,
+    the kernel runs P more ticks and keeps copies of their frames, and stops:
+    a later tick x is the kept frame of tick t + 1 + r, where
+    ``k, r = divmod(x - t - 1, P)``, with every count and the environment
+    grown k times by what they grew from tick t to t + P.  Such a run never
+    halts and meets no tie after t.
+
+    The lists of a frame are valid until the generator is resumed.  Memory
+    is the kernel's state until a proof and one period of frames after it,
+    whatever ``max_steps``.  Raises NondeterministicChoice as
+    ``Kernel.ticks`` does.
+    """
+    kernel = Kernel(system)
+    spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
+    recurrence = Recurrence(kernel)
+    start = len(spikes)
+    ticks = kernel.ticks(max_steps)
+    for tick, environment, halted in ticks:
+        yield tick, spikes, countdown, pending, environment, halted
+        if start <= tick < max_steps and not halted and recurrence.recurs():
+            break
+    else:
+        return
+    proved, before, before_env = tick, spikes.copy(), environment
+    period = []
+    for tick, environment, halted in islice(ticks, recurrence.period):
+        yield tick, spikes, countdown, pending, environment, halted
+        period.append((spikes.copy(), countdown.copy(), pending.copy(), environment))
+    growth = [b - a for a, b in zip(before, spikes)]
+    env_growth = environment - before_env
+    for tick in range(tick + 1, max_steps + 1):
+        k, r = divmod(tick - proved - 1, len(period))
+        counts, closed, parked, env = period[r]
+        counts = [a + k * g for a, g in zip(counts, growth)]
+        yield tick, counts, closed, parked, env + k * env_growth, False
 
 
 def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:

@@ -211,3 +211,25 @@ def periodic_systems(draw) -> SnpSystem:
     if pairs:
         synapses = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
     return SnpSystem(tuple(neurons), synapses, draw(st.sampled_from(ids)), "random")
+
+
+@st.composite
+def fan_out_systems(draw) -> SnpSystem:
+    """Valid systems of 2-8 neurons with one ``(a^k)+ / a^k -> a ; d`` rule
+    each and 1-3 outgoing synapses, as ``snpkit sim``'s dense graphs in
+    small: most runs never halt, many counts grow, and a recurrence comes
+    after tens of ticks with a period of several."""
+    ids = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
+    neurons = tuple(
+        Neuron(
+            nid,
+            draw(st.integers(0, 2)),
+            (Rule.semi_homogeneous(draw(st.integers(1, 2)), delay=draw(st.integers(0, 3))),),
+        )
+        for nid in ids
+    )
+    synapses = set()
+    for a in ids:
+        others = [b for b in ids if b != a]
+        synapses.update((a, b) for b in draw(st.sets(st.sampled_from(others), min_size=1, max_size=3)))
+    return SnpSystem(neurons, frozenset(synapses), draw(st.sampled_from(ids)), "random")

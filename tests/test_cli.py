@@ -666,3 +666,27 @@ def test_sim_memory_does_not_grow_with_the_ticks(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
+
+
+@pytest.mark.parametrize(
+    "path",
+    # proved recurrent at ticks 8 and 26, both with period 4; dense-20's
+    # counts grow, so its later frames are not the recorded ones
+    [SYSTEMS / "iteration-d2.snp", GOLDEN / "dense-20.snp"],
+    ids=["iteration-d2", "dense-20"],
+)
+def test_sim_memory_after_a_recurrence_proof_does_not_grow_with_the_ticks(path):
+    # the program's peak resident size, read from its own rusage: tracing
+    # every allocation of 10^5 ticks in-process would take seconds
+    peaks = []
+    for ticks in (10**3, 10**5):
+        program = subprocess.Popen(
+            [sys.executable, "-m", "snpkit.cli", "sim", str(path), "--style", "machine",
+             "--max-steps", str(ticks)],
+            stdout=subprocess.DEVNULL, env=_program_env(),
+        )
+        _, status, usage = os.wait4(program.pid, 0)
+        program.returncode = os.waitstatus_to_exitcode(status)
+        assert program.returncode == 0
+        peaks.append(usage.ru_maxrss)  # KiB
+    assert peaks[1] < peaks[0] + 1024, peaks

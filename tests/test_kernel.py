@@ -20,12 +20,13 @@ from snpkit import (
     batch_hazards,
     co_simulate,
     env_trajectory,
+    parse_system,
     run,
     step,
 )
-from snpkit.semantics import Kernel, initial_configuration
+from snpkit.semantics import Kernel, Recurrence, frames, initial_configuration
 
-from .conftest import periodic_systems, simple_systems, two_rule_systems
+from .conftest import SYSTEMS_DIR, fan_out_systems, periodic_systems, simple_systems, two_rule_systems
 
 systems = st.one_of(simple_systems(), two_rule_systems())
 
@@ -99,6 +100,70 @@ def run_frames(system, budget):
 def test_run_matches_reference(system, budget):
     # the kernel's full state at every tick, and any tie, against run's
     assert kernel_frames(system, budget) == run_frames(system, budget)
+
+
+def streamed_frames(system, budget):
+    """What ``frames`` yields, each frame copied as it comes, then the tie
+    that stopped it, if any."""
+    streamed = []
+    try:
+        for tick, spikes, countdown, pending, environment, halted in frames(system, budget):
+            streamed.append((tick, spikes.copy(), countdown.copy(), pending.copy(), environment, halted))
+    except NondeterministicChoice as tie:
+        streamed.append(("tie", tie.neuron, tie.tick))
+    return streamed
+
+
+def first_proof(system, budget=10**4):
+    """``(t, P)`` of the recurrence proof ``frames`` meets, or None when the
+    run halts, ties or reaches ``budget`` first."""
+    kernel = Kernel(system)
+    recurrence = Recurrence(kernel)
+    try:
+        for tick, _, halted in kernel.ticks(budget):
+            if not halted and tick >= len(system.neurons) and recurrence.recurs():
+                return tick, recurrence.period
+    except NondeterministicChoice:
+        pass
+    return None
+
+
+@given(
+    st.one_of(systems, periodic_systems(), fan_out_systems()),
+    st.sampled_from(["any", "at the proof", "in the period", "far past"]),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_frames_match_the_kernel_past_a_proof(system, where, data):
+    # the frames computed from one recorded period equal the kernel's, at
+    # the budget of the proof itself, inside the period and far past it; a
+    # halt or a tie before any proof ends both streams alike
+    proof = first_proof(system)
+    if proof is None or where == "any":
+        budget = data.draw(st.integers(0, 300), label="budget")
+    else:
+        t, period = proof
+        budget = {
+            "at the proof": t,
+            "in the period": t + data.draw(st.integers(1, period), label="into the period"),
+            "far past": t + period + data.draw(st.integers(1, 300), label="past the period"),
+        }[where]
+    assert streamed_frames(system, budget) == kernel_frames(system, budget)
+
+
+def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
+    system = parse_system((SYSTEMS_DIR / "iteration-d2.snp").read_text())
+    assert first_proof(system) == (8, 4)
+    ticks, advanced = Kernel.ticks, []
+
+    def counted(kernel, max_steps):
+        for item in ticks(kernel, max_steps):
+            advanced.append(item[0])
+            yield item
+
+    monkeypatch.setattr(Kernel, "ticks", counted)
+    assert [frame[0] for frame in frames(system, 10**5)] == list(range(10**5 + 1))
+    assert advanced == list(range(13))  # to the proof at tick 8, then one period of 4
 
 
 @given(systems, st.integers(0, 40))
