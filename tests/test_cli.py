@@ -30,7 +30,7 @@ from snpkit import (
 )
 from snpkit.cli import _ever_closes, main
 
-from .conftest import periodic_systems, simple_systems, two_rule_systems
+from .conftest import SYSTEMS_DIR, periodic_systems, simple_systems, two_rule_systems
 
 RELAY_DOC = """\
 system relay
@@ -532,13 +532,12 @@ def test_sim_matches_format_trace_on_the_relay(relay_file, style, steps):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 @pytest.mark.parametrize(
     "path, steps",
     # both recur, at ticks 8 and 26; the budgets reach at least 5 times as far
-    [(SYSTEMS / "iteration-d2.snp", 60), (GOLDEN / "dense-20.snp", 140)],
+    [(SYSTEMS_DIR / "iteration-d2.snp", 60), (GOLDEN / "dense-20.snp", 140)],
     ids=["iteration-d2", "dense-20"],
 )
 @pytest.mark.parametrize(
@@ -672,7 +671,7 @@ def test_sim_memory_does_not_grow_with_the_ticks(tmp_path):
     "path",
     # proved recurrent at ticks 8 and 26, both with period 4; dense-20's
     # counts grow, so its later frames are not the recorded ones
-    [SYSTEMS / "iteration-d2.snp", GOLDEN / "dense-20.snp"],
+    [SYSTEMS_DIR / "iteration-d2.snp", GOLDEN / "dense-20.snp"],
     ids=["iteration-d2", "dense-20"],
 )
 def test_sim_memory_after_a_recurrence_proof_does_not_grow_with_the_ticks(path):
