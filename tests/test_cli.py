@@ -627,6 +627,42 @@ def test_tie_after_tick_zero_stops_the_stream_without_an_outcome(tmp_path, style
         assert not any(word in out for word in ("halted", "budget", "outcome"))
 
 
+# one input for each way a verify run settles: a halt (systems/), a joint
+# recurrence proof (iteration-d2), a proof after the first divergence
+# (queued-loop, loop-hazard), a tie (tie-later), and an input error
+# (idle-delay-loop)
+PINNED_INPUTS = {
+    **{path.stem: path.read_text() for path in sorted(SYSTEMS_DIR.glob("*.snp"))},
+    "queued-loop": QUEUED_LOOP_DOC,
+    "loop-hazard": LOOP_HAZARD_DOC,
+    "tie-later": TIE_LATER_DOC,
+    "idle-delay-loop": IDLE_DELAY_LOOP_DOC,
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_INPUTS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--bound", "37"],
+        ["verify", "--bound", "200"],
+        ["verify", "--bound", "1500"],
+        ["transform", "--provenance"],
+    ],
+    ids=["verify-37", "verify-200", "verify-1500", "transform-provenance"],
+)
+def test_verify_and_transform_print_the_pinned_output(tmp_path, name, command):
+    # stdout, then stderr, then the exit status
+    path = tmp_path / f"{name}.snp"
+    path.write_text(PINNED_INPUTS[name])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore", BatchOverlapWarning)
+        code = main([command[0], str(path), *command[1:]])
+    golden = (GOLDEN / f"{command[0]}-{name}.{command[-1].lstrip('-')}.out").read_text()
+    assert f"{out.getvalue()}{err.getvalue()}exit {code}\n" == golden
+
+
 def test_negative_budget_is_rejected_before_any_output(relay_file):
     assert sim([relay_file, "--max-steps", "-1"]) == (2, "", "error: max_steps must be >= 0\n")
 
