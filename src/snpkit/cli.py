@@ -34,17 +34,16 @@ def _load(path: str):
 
 def _ever_closes(system, max_steps: int) -> bool:
     """Whether some neuron is closed in some configuration of the run, from a
-    run ahead of the one printed that stops at the first closed neuron, at a
-    recurrence (a run that recurs without closing a neuron never closes one)
-    or at a tie (the printed run stops there too)."""
+    run ahead of the one printed that stops at the first closed neuron, where
+    ``Recurrence.settle`` settles it (a run that recurs without closing a
+    neuron never closes one) or at a tie (the printed run stops there too)."""
     if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
         return False
     kernel = Kernel(system)
-    recurrence = Recurrence(kernel)
     try:
-        for _ in kernel.ticks(max_steps):
-            if kernel.touched[0] or recurrence.recurs():  # touched[0]: the closed neurons
-                return bool(kernel.touched[0])
+        for _ in Recurrence(kernel).settle(kernel.ticks(max_steps)):
+            if kernel.touched[0]:  # the closed neurons
+                return True
     except NondeterministicChoice:
         pass
     return False

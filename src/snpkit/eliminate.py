@@ -335,23 +335,22 @@ def _has_delays(system: SnpSystem) -> bool:
 
 def batch_hazards(system: SnpSystem) -> list[str]:
     """The first event of the source's run that the rewrite does not
-    reproduce, as a one-item list; [] when the run halts or recurs without
-    one.  A run that meets a tie, or neither halts nor recurs within a
-    fixed number of ticks, is reported undecided."""
+    reproduce, as a one-item list; [] when ``Recurrence.settle`` settles
+    the run without one.  A run that meets a tie, or that the settling
+    leaves at its budget of a fixed number of ticks, is reported
+    undecided."""
     if not _has_delays(system):
         return []
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
     try:
-        for tick, _, halted in kernel.ticks(_HAZARD_TICKS):
+        for _, _, halted in recurrence.settle(kernel.ticks(_HAZARD_TICKS)):
             if kernel.event is not None:
                 kind, i, at = kernel.event
                 return [_hazard(kind, kernel.ids[i], at)]
-            if halted or recurrence.recurs():
-                return []
     except NondeterministicChoice as err:
         return [_hazard("tie", err.neuron, err.tick)]
-    return [_undecided()]
+    return [] if halted or recurrence.proved is not None else [_undecided()]
 
 
 def hazards_from_run(
@@ -370,8 +369,9 @@ def hazards_from_run(
     proof or its budget.  Nothing comes after a recurrence proof that did
     not come before it, so the first event is the answer when it comes
     within the budget, and a settled run without one gets [] when it halts
-    within the budget or the check's own proof (``Recurrence.proved_by``)
-    comes there.  Past the budget the run is undecided.
+    within the budget or the check's own proof, checked from its gate at
+    the neuron count (``Recurrence.proved_by``), comes there.  Past the
+    budget the run is undecided.
     """
     if not _has_delays(system):
         return []
@@ -380,6 +380,6 @@ def hazards_from_run(
         return [_hazard(kind, neuron, at) if at <= _HAZARD_TICKS else _undecided()]
     if halt is not None:
         return [] if halt <= _HAZARD_TICKS else [_undecided()]
-    if settled is not None and Recurrence.proved_by(settled) <= _HAZARD_TICKS:
+    if settled is not None and Recurrence.proved_by(settled, len(system.neurons)) <= _HAZARD_TICKS:
         return []
     return None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from .eliminate import BatchOverlapWarning, TransformResult, batch_hazards, hazards_from_run, rewrite
 from .model import SnpSystem
@@ -71,14 +70,12 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
 
     The result is that of a run of both systems to ``bound``, but the run
     stops once the rest of the window cannot change it.  Until the first
-    divergence one ``Recurrence`` watches both systems, a halted side
-    frozen.  From a recurrence on, a side still running never halts, and
-    each environment gains what it gained one period earlier, the same on
-    both sides as they agreed at both ends of the period.  After the first
-    divergence each side runs on alone until it halts, reaches the bound or
-    recurs, checked from the first tick it runs alone.  Joint checks start
-    once the tick reaches the larger side's neuron count: a pair that halts
-    sooner does not pay for them.
+    divergence both systems run in lock step, a halted side frozen, until
+    ``Recurrence.settle`` settles the pair.  From a recurrence on, a side
+    still running never halts, and each environment gains what it gained
+    one period earlier, the same on both sides as they agreed at both ends
+    of the period.  After the first divergence each side runs on alone
+    until it is settled, the source first.
 
     The verdict also records two facts of the source's run that the
     co-simulation has anyway: its first event that the rewrite does not
@@ -94,43 +91,42 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     if bound < 0:
         raise ValueError("bound must be >= 0")
     src, tgt = Kernel(source), Kernel(target)
+    src.label, tgt.label = "source", "target"
     src_ticks, tgt_ticks = src.ticks(bound), tgt.ticks(bound)
-    joint = Recurrence(src, tgt)
-    start = max(len(source.neurons), len(target.neurons))
-    source_halt = target_halt = first_divergence = settled = None
-    try:
-        while True:
+    source_halt = target_halt = first_divergence = a = b = None
+
+    def lock_step():
+        # a tick of each side still running, the source first, to the first divergence
+        nonlocal a, b, source_halt, target_halt, first_divergence
+        for _ in range(bound + 1):  # ticks 0 to bound
             if source_halt is None:
-                side = "source"
                 tick, a, halted = next(src_ticks)
                 if halted:
-                    source_halt = settled = tick
+                    source_halt = tick
             if target_halt is None:
-                side = "target"
                 tick, b, halted = next(tgt_ticks)
                 if halted:
                     target_halt = tick
             if a != b:
                 first_divergence = (tick, a, b)
-                break
-            if tick == bound or (source_halt is not None and target_halt is not None):
-                break
-            if tick >= start and joint.recurs():
-                if settled is None:
-                    settled = tick
-                break
+                return
+            yield tick, a, source_halt is not None and target_halt is not None
+
+    settling = Recurrence(src, tgt)
+    try:
+        for _ in settling.settle(lock_step()):
+            pass
     except NondeterministicChoice as err:
-        err.system = side
-        if side == "target" and source_halt is None:
-            _run_alone(src, src_ticks, "source")  # raises the source's own error first
+        if err.system == "target":  # the source runs on alone: its own error comes first
+            for _ in Recurrence(src).settle(src_ticks):
+                pass
         raise
-    if first_divergence is not None:
-        if source_halt is None:
-            settled, a, halted = _run_alone(src, src_ticks, "source")
+    if first_divergence is not None:  # each side runs on alone, the source first
+        settling = Recurrence(src)
+        for tick, a, halted in settling.settle(src_ticks):
             if halted:
-                source_halt = settled
-        if target_halt is None:
-            tick, b, halted = _run_alone(tgt, tgt_ticks, "target")
+                source_halt = tick
+        for tick, b, halted in Recurrence(tgt).settle(tgt_ticks):
             if halted:
                 target_halt = tick
 
@@ -151,24 +147,8 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
         first_divergence=first_divergence,
         bound=bound,
         source_event=None if event is None else (event[0], src.ids[event[1]], event[2]),
-        source_settled=settled,
+        source_settled=settling.proved if source_halt is None else source_halt,
     )
-
-
-def _run_alone(kernel: Kernel, ticks: Iterator, label: str) -> tuple[int | None, int | None, bool]:
-    """``(tick, environment, halted)`` where one side, run on alone from
-    where ``ticks`` stands, halts or provably recurs, or ``(None, None,
-    False)`` once it reaches the bound.  ``label`` names the side on a
-    NondeterministicChoice."""
-    recurrence = Recurrence(kernel)
-    try:
-        for tick, environment, halted in ticks:
-            if halted or recurrence.recurs():
-                return tick, environment, halted
-    except NondeterministicChoice as err:
-        err.system = label
-        raise
-    return None, None, False
 
 
 def verify(system: SnpSystem, bound: int = 200) -> tuple[TransformResult, Verdict]:

@@ -213,7 +213,8 @@ class Kernel:
     ``event`` is ``(kind, neuron index, tick)`` of the first of two events
     the run meets, or None: ``"lost"`` when a spike batch reaches a closed
     neuron, ``"queued"`` when a delayed rule fires and leaves spikes that
-    still enable it, so the next batch waits out the closed window.
+    still enable it, so the next batch waits out the closed window.  A
+    NondeterministicChoice names ``label`` (None unless set) as its ``system``.
     """
 
     def __init__(self, system: SnpSystem):
@@ -226,6 +227,7 @@ class Kernel:
         self.countdown = [0] * len(neurons)
         self.pending = [0] * len(neurons)
         self.event: tuple[str, int, int] | None = None
+        self.label: str | None = None
 
     def ticks(self, max_steps: int) -> Iterator[tuple[int, int, bool]]:
         """Advance the state in place, yielding ``(tick, environment, halted)``
@@ -272,7 +274,7 @@ class Kernel:
                 return
             yield tick, environment, False
             if ties:  # ``step`` meets the lowest tied neuron first
-                raise NondeterministicChoice(ids[min(ties)], tick + 1)
+                raise NondeterministicChoice(ids[min(ties)], tick + 1, self.label)
 
             dirty = set()
             pool = []  # (origin, batch) emissions of this tick
@@ -313,8 +315,9 @@ class Kernel:
 class Recurrence:
     """Proof that kernels advanced in lock step repeat themselves forever.
 
-    Call ``recurs`` once per tick from some tick on, after each kernel that
-    still runs has yielded the tick; a halted kernel stays as it stopped.
+    ``settle`` calls ``recurs`` once per tick from its gate on, after each
+    kernel that still runs has yielded the tick; a halted kernel stays as it
+    stopped.
     Brent's cycle detection (Brent, *BIT* 20, 1980) saves the state at the
     first call and after 2, 4, 8, ... more, and compares each call with the
     copy saved last.  The state at tick t recurs the one saved at tick s
@@ -344,6 +347,26 @@ class Recurrence:
         # per kernel: (L, T) once needed, saved state, lows since, neurons apart
         self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set()) for k in kernels]
         self.power, self.steps = 1, 0  # power > 1 once a copy is saved
+        self.gate = max(len(k.spikes) for k in kernels)
+        self.proved: int | None = None
+
+    def settle(self, ticks: Iterator[tuple[int, int, bool]]) -> Iterator[tuple[int, int, bool]]:
+        """Re-yield ``ticks``, the ``(tick, environment, halted)`` stream of
+        the kernels watched, until their run is settled: after the halting
+        item, at the stream's end (its budget), or at the first item that
+        ``recurs``, whose tick ``proved`` then holds.  Checks start at the
+        gate, the tick that reaches the largest neuron count of the kernels
+        (at once for a stream past it), so a run that halts sooner pays for
+        none.  An item is checked when the caller asks for the next, after
+        the caller's own exits on it."""
+        gate = self.gate
+        for item in ticks:
+            yield item
+            if item[2]:
+                return
+            if item[0] >= gate and self.recurs():
+                self.proved = item[0]
+                return
 
     def recurs(self) -> bool:
         """Whether the state recurs the copy saved last, at the cost of the
@@ -389,21 +412,22 @@ class Recurrence:
         return self.steps + 1
 
     @staticmethod
-    def proved_by(tick: int) -> int:
-        """A tick by which a ``Recurrence`` called on every tick from tick 0
-        proves a run recurrent that some ``Recurrence`` proved so at
-        ``tick``.
+    def proved_by(tick: int, gate: int) -> int:
+        """A tick by which a ``Recurrence`` checked on every tick from tick
+        ``gate`` on proves a run recurrent that some ``Recurrence`` proved
+        so at ``tick``.
 
         That proof related tick t = ``tick`` to some saved s < t, and the
         relation then holds between every tick x >= s and x + (t - s).  This
-        schedule saves at ticks 2^m - 2 and compares the next 2^m ticks with
-        each save, so the first save at t - 1 or later proves it within
-        t - s <= t ticks.
+        schedule saves at ticks g + 2^m - 2 (m >= 1, g = ``gate``) and
+        compares the next 2^m ticks with each save, so the first save at
+        t - 1 or later (hence at s or later) whose window 2^m reaches t
+        (hence t - s) proves it within t - s <= t ticks.
         """
-        save = 0
-        while save < tick - 1:
-            save = 2 * save + 2
-        return save + tick
+        window = 2
+        while window < tick or gate + window < tick + 1:
+            window *= 2
+        return gate + window - 2 + tick
 
 
 def frames(
@@ -414,13 +438,12 @@ def frames(
     ``Kernel.ticks``, to the first halting configuration or tick
     ``max_steps``.
 
-    From tick ``len(system.neurons)`` on, the run is checked for recurrence
-    on every tick.  Once a ``Recurrence`` proves it at tick t with period P,
-    the kernel runs P more ticks and keeps copies of their frames, and stops:
-    a later tick x is the kept frame of tick t + 1 + r, where
-    ``k, r = divmod(x - t - 1, P)``, with every count and the environment
-    grown k times by what they grew from tick t to t + P.  Such a run never
-    halts and meets no tie after t.
+    The kernel runs until ``Recurrence.settle`` settles it.  After a proof
+    at tick t with period P, it runs P more ticks, keeps copies of their
+    frames, and stops: a later tick x is the kept frame of tick t + 1 + r,
+    where ``k, r = divmod(x - t - 1, P)``, with every count and the
+    environment grown k times by what they grew from tick t to t + P.  Such
+    a run never halts and meets no tie after t.
 
     The lists of a frame are valid until the generator is resumed.  Memory
     is the kernel's state until a proof and one period of frames after it,
@@ -430,13 +453,10 @@ def frames(
     kernel = Kernel(system)
     spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
     recurrence = Recurrence(kernel)
-    start = len(spikes)
     ticks = kernel.ticks(max_steps)
-    for tick, environment, halted in ticks:
+    for tick, environment, halted in recurrence.settle(ticks):
         yield tick, spikes, countdown, pending, environment, halted
-        if start <= tick < max_steps and not halted and recurrence.recurs():
-            break
-    else:
+    if recurrence.proved is None:
         return
     proved, before, before_env = tick, spikes.copy(), environment
     period = []

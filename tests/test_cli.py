@@ -30,7 +30,7 @@ from snpkit import (
 )
 from snpkit.cli import _ever_closes, main
 
-from .conftest import SYSTEMS_DIR, periodic_systems, simple_systems, two_rule_systems
+from .conftest import SYSTEMS_DIR, fan_out_systems, periodic_systems, simple_systems, two_rule_systems
 
 RELAY_DOC = """\
 system relay
@@ -431,7 +431,7 @@ LATE_HALT = parse_system(
 
 
 @given(
-    st.one_of(simple_systems(), two_rule_systems(), periodic_systems()),
+    st.one_of(simple_systems(), two_rule_systems(), periodic_systems(), fan_out_systems()),
     st.one_of(st.integers(0, 300), st.just(1500)),
 )
 # the hazards that co-simulation leaves open, or settles only past the

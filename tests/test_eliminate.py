@@ -35,6 +35,7 @@ from snpkit.textio import parse_system
 
 from .conftest import (
     SYSTEMS_DIR,
+    fan_out_systems,
     iteration_instances,
     periodic_systems,
     random_instance,
@@ -548,7 +549,7 @@ class TestBatchHazards:
 
 
 @settings(max_examples=300, deadline=None)
-@given(simple_systems())
+@given(st.one_of(simple_systems(), fan_out_systems()))
 def test_no_hazard_means_equivalent(system):
     try:
         result = transform_quietly(system)

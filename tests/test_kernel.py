@@ -5,6 +5,7 @@ kernel."""
 
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -114,14 +115,16 @@ def streamed_frames(system, budget):
     return streamed
 
 
-def first_proof(system, budget=10**4):
-    """``(t, P)`` of the recurrence proof ``frames`` meets, or None when the
-    run halts, ties or reaches ``budget`` first."""
+def first_proof(system, budget=10**4, gate=None):
+    """``(t, P)`` of the first proof of a ``Recurrence`` called on every tick
+    from ``gate`` on, by default the neuron count, where ``frames`` meets
+    it; None when the run halts, ties or reaches ``budget`` first."""
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
+    gate = len(system.neurons) if gate is None else gate
     try:
         for tick, _, halted in kernel.ticks(budget):
-            if not halted and tick >= len(system.neurons) and recurrence.recurs():
+            if not halted and tick >= gate and recurrence.recurs():
                 return tick, recurrence.period
     except NondeterministicChoice:
         pass
@@ -166,6 +169,39 @@ def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
     assert advanced == list(range(13))  # to the proof at tick 8, then one period of 4
 
 
+# t spends its 50 spikes one a tick beside a loop of A and B, so the run
+# recurs with period 2 from tick 50 on, and a check from an earlier tick
+# sees the counts shrink first
+LATE_LOOP = SnpSystem(
+    (
+        Neuron("t", 50, (Rule.semi_homogeneous(1),)),
+        Neuron("A", 1, (Rule.semi_homogeneous(1),)),
+        Neuron("B", 0, (Rule.semi_homogeneous(1),)),
+    ),
+    frozenset({("A", "B"), ("B", "A")}),
+    "A",
+)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        parse_system((SYSTEMS_DIR / "iteration-d2.snp").read_text()),
+        parse_system((Path(__file__).parent / "golden" / "dense-20.snp").read_text()),
+        LATE_LOOP,
+    ],
+    ids=["iteration-d2", "dense-20", "late-loop"],
+)
+def test_a_check_from_a_gate_proves_a_recurrence_by_proved_by(system):
+    # whichever tick a proof came at, a Recurrence checked on every tick
+    # from tick g on proves the run recurrent by proved_by(t, g); the gated
+    # check of batch_hazards is one of these
+    proofs = [first_proof(system, gate=gate)[0] for gate in range(80)]
+    for t in proofs:
+        for gate, proof in enumerate(proofs):
+            assert proof <= Recurrence.proved_by(t, gate), (t, gate)
+
+
 @given(systems, st.integers(0, 40))
 @settings(max_examples=200)
 def test_env_trajectory_matches_reference(system, bound):
@@ -189,13 +225,17 @@ def assert_matches_reference(source, target, bound):
         } == expected
 
 
-@given(systems, systems, st.integers(0, 40))
+@given(st.one_of(systems, fan_out_systems()), st.one_of(systems, fan_out_systems()), st.integers(0, 40))
 @settings(max_examples=200)
 def test_co_simulate_matches_reference(source, target, bound):
     assert_matches_reference(source, target, bound)
 
 
-@given(periodic_systems(), periodic_systems(), st.integers(0, 300))
+@given(
+    st.one_of(periodic_systems(), fan_out_systems()),
+    st.one_of(periodic_systems(), fan_out_systems()),
+    st.integers(0, 300),
+)
 @settings(max_examples=100, deadline=None)
 def test_co_simulate_matches_reference_on_long_periodic_runs(source, target, bound):
     # long enough windows for co-simulation to stop early on a repeat or a
