@@ -317,14 +317,14 @@ class Recurrence:
 
     ``settle`` calls ``recurs`` once per tick from its gate on, after each
     kernel that still runs has yielded the tick; a halted kernel stays as it
-    stopped.
-    Brent's cycle detection (Brent, *BIT* 20, 1980) saves the state at the
-    first call and after 2, 4, 8, ... more, and compares each call with the
-    copy saved last.  The state at tick t recurs the one saved at tick s
-    when, on every kernel, countdowns and pending batches are equal and
-    each count is equal or has grown by a multiple of L while staying at T
-    or more from s to t.  L is the lcm of the neuron's guard periods (1
-    with none); T is max(largest guard offset + 1, largest consumption).
+    stopped.  Brent's cycle detection (Brent, *BIT* 20, 1980) saves the
+    state at the first call and after 2, 4, 8, ... more, and compares each
+    call with the copy saved last.  The state at tick t recurs the one
+    saved at tick s when, on every kernel, countdowns and pending batches
+    are equal and each count is equal or has grown by a multiple of L while
+    staying at T or more from s to t.  L is the lcm of the neuron's guard
+    periods (1 with none); T is max(largest guard offset + 1, largest
+    consumption).
 
     Why that is a proof: from T spikes on, every consumption is covered and
     no guard matches on an offset alone, so the enabled rules depend on the

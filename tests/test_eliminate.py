@@ -517,6 +517,28 @@ class TestBatchHazards:
         )
         assert batch_hazards(growing) == []
 
+    @pytest.mark.parametrize("spikes, decided", [(8194, True), (8195, False)])
+    def test_checks_start_at_the_neuron_count(self, spikes, decided):
+        # t spends its spikes one a tick beside the loop of a and b, so the
+        # run repeats from tick ``spikes`` on.  The check starts at tick 4,
+        # the neuron count, and saves the state at ticks 4 + 2^m - 2: the
+        # save at tick 8,194 proves a repeat from there by tick 8,196, and
+        # the next save, at 16,386, comes after the 10,000-tick budget
+        late = SnpSystem(
+            (
+                Neuron("t", spikes, (forward(),)),
+                Neuron("a", 1, (forward(),)),
+                Neuron("b", 0, (forward(),)),
+                Neuron("d", 0, (forward(delay=2),)),
+            ),
+            frozenset({("a", "b"), ("b", "a")}),
+            "a",
+        )
+        undecided = (
+            "undecided at tick 10000: the source neither halts nor recurs within 10000 ticks"
+        )
+        assert batch_hazards(late) == ([] if decided else [undecided])
+
     def test_unbounded_growth_is_undecided(self, monkeypatch):
         # a and b fire into each other and into c, whose count grows below
         # the single count its guard accepts, so the run never recurs; the
