@@ -322,10 +322,13 @@ def _hazard(kind: str, neuron: str, tick: int) -> str:
 
 
 def _undecided() -> str:
-    """The message of a run that neither halts nor recurs within the budget."""
+    """The message of a run that the check neither saw halt nor proved
+    recurrent within the budget.  The run may still recur inside it: a
+    repeat that starts after the last save the budget leaves room for is
+    proved only after the budget."""
     return (
-        f"undecided at tick {_HAZARD_TICKS}: the source neither halts nor recurs "
-        f"within {_HAZARD_TICKS} ticks"
+        f"undecided at tick {_HAZARD_TICKS}: no halt and no recurrence of the source "
+        f"was proved within {_HAZARD_TICKS} ticks"
     )
 
 

@@ -9,9 +9,10 @@ and the parked emission is released the moment it reopens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from math import lcm
-from typing import Iterator
+from operator import add, sub
+from typing import Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, check
 
@@ -432,22 +433,24 @@ class Recurrence:
 
 def frames(
     system: SnpSystem, max_steps: int
-) -> Iterator[tuple[int, list[int], list[int], list[int], int, bool]]:
+) -> Iterator[tuple[int, list[int], Sequence[int], Sequence[int], int, bool]]:
     """Every configuration of the run as ``(tick, spikes, countdown, pending,
     environment, halted)``: the kernel's state at each tick of
     ``Kernel.ticks``, to the first halting configuration or tick
     ``max_steps``.
 
     The kernel runs until ``Recurrence.settle`` settles it.  After a proof
-    at tick t with period P, it runs P more ticks, keeps copies of their
-    frames, and stops: a later tick x is the kept frame of tick t + 1 + r,
-    where ``k, r = divmod(x - t - 1, P)``, with every count and the
-    environment grown k times by what they grew from tick t to t + P.  Such
-    a run never halts and meets no tie after t.
+    at tick t with period P, it runs P more ticks, keeps their frames, and
+    stops: a later tick x is the kept frame of slot ``(x - t - 1) % P``.
+    Its countdown and pending are that slot's tuples, the same objects on
+    every tick of the slot; its counts and environment are the slot's
+    previous ones grown by what they grew from tick t to t + P.  Such a run
+    never halts and meets no tie after t.
 
-    The lists of a frame are valid until the generator is resumed.  Memory
-    is the kernel's state until a proof and one period of frames after it,
-    whatever ``max_steps``.  Raises NondeterministicChoice as
+    Up to the proof's period, countdown and pending are the kernel's live
+    lists.  The lists of a frame are valid until the generator is resumed.
+    Memory is the kernel's state until a proof and one period of frames
+    after it, whatever ``max_steps``.  Raises NondeterministicChoice as
     ``Kernel.ticks`` does.
     """
     kernel = Kernel(system)
@@ -458,18 +461,18 @@ def frames(
         yield tick, spikes, countdown, pending, environment, halted
     if recurrence.proved is None:
         return
-    proved, before, before_env = tick, spikes.copy(), environment
-    period = []
+    before, before_env = spikes.copy(), environment
+    slots = []  # per tick of the period: [counts, countdown, pending, environment]
     for tick, environment, halted in islice(ticks, recurrence.period):
         yield tick, spikes, countdown, pending, environment, halted
-        period.append((spikes.copy(), countdown.copy(), pending.copy(), environment))
-    growth = [b - a for a, b in zip(before, spikes)]
+        slots.append([spikes.copy(), tuple(countdown), tuple(pending), environment])
+    growth = list(map(sub, spikes, before))
     env_growth = environment - before_env
-    for tick in range(tick + 1, max_steps + 1):
-        k, r = divmod(tick - proved - 1, len(period))
-        counts, closed, parked, env = period[r]
-        counts = [a + k * g for a, g in zip(counts, growth)]
-        yield tick, counts, closed, parked, env + k * env_growth, False
+    for tick, slot in zip(range(tick + 1, max_steps + 1), cycle(slots)):
+        counts, closed, parked, env = slot
+        slot[0] = counts = list(map(add, counts, growth))
+        slot[3] = env = env + env_growth
+        yield tick, counts, closed, parked, env, False
 
 
 def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:

@@ -229,7 +229,9 @@ class TraceStyle(Enum):
 # One configuration as the renderer reads it:
 # (tick, spikes, closed, pending, environment, halted).  ``closed`` holds the
 # ticks until each neuron reopens, ``pending`` its parked batch (0 while
-# open), and ``halted`` is true only on the halting configuration.
+# open), and ``halted`` is true only on the halting configuration.  A tuple
+# ``closed`` and ``pending`` are taken to be shared by many frames (see
+# ``trace_lines``).
 Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
 
 
@@ -269,6 +271,14 @@ def trace_lines(
     ``closes`` (some neuron is closed somewhere in the run) and bare spike
     counts otherwise.  Machine style ends with an outcome record, and
     ``halting_line`` ends paper and table styles with how the run ended.
+
+    Machine style renders the ``"closed"`` and ``"pending"`` arrays of a
+    frame whose countdown and pending are both tuples once per pair of
+    tuple objects, and reuses that text whenever the same pair comes again:
+    ``semantics.frames`` shares one pair among all ticks of a slot of a
+    proved period, so the memo holds at most one period's pairs.  Lists,
+    such as the kernel's live state and ``format_trace``'s frames, are
+    rendered on every frame.
     """
     if style is TraceStyle.PAPER:
         for tick, spikes, closed, _, environment, halted in frames:
@@ -283,12 +293,22 @@ def trace_lines(
         if system is not None:
             yield json.dumps({"system": system.name, "neurons": list(system.ids)}, separators=(",", ":"))
         numeral, pending_text = _json_numerals()
+
+        def render(closed: Sequence[int], pending: Sequence[int]) -> str:
+            return f'"closed":[{",".join(map(numeral, closed))}],"pending":[{",".join(map(pending_text, pending))}]'
+
+        # (closed, pending, text) per pair of tuples, keyed by identity: the
+        # entry keeps both tuples alive, so no other object takes their ids
+        rendered: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], str]] = {}
         for tick, spikes, closed, pending, environment, halted in frames:
-            yield (
-                f'{{"tick":{tick},"spikes":[{",".join(map(numeral, spikes))}],'
-                f'"closed":[{",".join(map(numeral, closed))}],'
-                f'"pending":[{",".join(map(pending_text, pending))}],"environment":{environment}}}'
-            )
+            if type(closed) is tuple and type(pending) is tuple:
+                key = id(closed), id(pending)
+                if (entry := rendered.get(key)) is None:
+                    entry = rendered[key] = closed, pending, render(closed, pending)
+                state = entry[2]
+            else:
+                state = render(closed, pending)
+            yield f'{{"tick":{tick},"spikes":[{",".join(map(numeral, spikes))}],{state},"environment":{environment}}}'
         yield f'{{"outcome":"halted","at":{tick}}}' if halted else '{"outcome":"budget-exhausted"}'
         return
     if halting_line:

@@ -405,13 +405,16 @@ def warned(argv):
     return lines, [str(w.message) for w in caught if w.category is BatchOverlapWarning]
 
 
-def late_loop(spikes):
+def late_loop(spikes, idle=0):
     """A loop that starts repeating once ``t`` has spent its spikes, one a
-    tick, beside a delayed neuron that never fires."""
+    tick, beside a delayed neuron that never fires and ``idle`` neurons
+    without rules."""
     return parse_system(
         f"system late-loop\nneuron t spikes={spikes}\nrule t: a+ / a -> a\n"
         "neuron A spikes=1\nrule A: a+ / a -> a\nneuron B\nrule B: a+ / a -> a\n"
-        "neuron d\nrule d: a+ / a -> a ; 2\nsyn A -> B\nsyn B -> A\nout A\n"
+        "neuron d\nrule d: a+ / a -> a ; 2\n"
+        + "".join(f"neuron i{k}\n" for k in range(idle))
+        + "syn A -> B\nsyn B -> A\nout A\n"
     )
 
 
@@ -437,7 +440,10 @@ LATE_HALT = parse_system(
 # the hazards that co-simulation leaves open, or settles only past the
 # budget: a run cut at the bound, a tie, an event or a halt after the
 # budget, and recurrences that the overlap check proves only after
-# co-simulation does (at 8,192 of 10,000 ticks) or not within its budget
+# co-simulation does (at 8,192 of 10,000 ticks) or not within its budget;
+# with 1,996 idle neurons co-simulation proves the loop at tick 4,050, and
+# Recurrence.proved_by(4050, 2000) = 10,144 lands within the neuron count
+# past the budget, so verify runs the overlap check, which proves it at 4,048
 @example(parse_system(QUEUED_LOOP_DOC), 0)
 @example(parse_system(QUEUED_LOOP_DOC), 5)
 @example(parse_system(RELAY_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a\nrule 1: a / a -> a\n")), 200)
@@ -447,6 +453,7 @@ LATE_HALT = parse_system(
 @example(LATE_HALT, 20_000)
 @example(late_loop(5000), 20_000)
 @example(late_loop(8500), 20_000)
+@example(late_loop(3500, idle=1996), 20_000)
 @settings(max_examples=300, deadline=None)
 def test_verify_warns_what_transform_warns(tmp_path_factory, system, bound):
     # verify takes the hazards from its co-simulated run of the source,
@@ -552,6 +559,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_sim_prints_the_pinned_run(path, steps, style, options):
     golden = (GOLDEN / f"sim-{path.stem}.{style}.stdout").read_text()
     assert sim([str(path), "--max-steps", str(steps), *options]) == (0, golden, "")
+
+
+@pytest.mark.parametrize(
+    "style, ascii_brackets",
+    [(TraceStyle.MACHINE, False), (TraceStyle.PAPER, False), (TraceStyle.PAPER, True), (TraceStyle.TABLE, False)],
+    ids=["machine", "paper", "paper-ascii", "table"],
+)
+def test_sim_matches_format_trace_over_many_periods(style, ascii_brackets):
+    # dense-20 recurs from tick 26 with period 4: by tick 2000 each slot of
+    # the period is printed about 490 times, from counts past 1024, the
+    # largest numeral the machine style keeps
+    path = GOLDEN / "dense-20.snp"
+    argv = [str(path), "--max-steps", "2000", "--style", style.value, *(["--ascii"] if ascii_brackets else [])]
+    expected = expected_sim(parse_system(path.read_text()), 2000, style, ascii_brackets)
+    assert sim(argv) == (0, expected, "")
 
 
 def test_table_shows_bare_counts_when_no_delayed_rule_fires(tmp_path):

@@ -535,7 +535,7 @@ class TestBatchHazards:
             "a",
         )
         undecided = (
-            "undecided at tick 10000: the source neither halts nor recurs within 10000 ticks"
+            "undecided at tick 10000: no halt and no recurrence of the source was proved within 10000 ticks"
         )
         assert batch_hazards(late) == ([] if decided else [undecided])
 
@@ -564,8 +564,8 @@ class TestBatchHazards:
             finally:
                 tracemalloc.stop()
             assert hazard == (
-                f"undecided at tick {budget}: the source neither halts nor recurs "
-                f"within {budget} ticks"
+                f"undecided at tick {budget}: no halt and no recurrence of the source "
+                f"was proved within {budget} ticks"
             )
         assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
 

@@ -103,13 +103,16 @@ def test_run_matches_reference(system, budget):
     assert kernel_frames(system, budget) == run_frames(system, budget)
 
 
+FRAME_FIELDS = ("tick", "spikes", "countdown", "pending", "environment", "halted")
+
+
 def streamed_frames(system, budget):
     """What ``frames`` yields, each frame copied as it comes, then the tie
     that stopped it, if any."""
     streamed = []
     try:
         for tick, spikes, countdown, pending, environment, halted in frames(system, budget):
-            streamed.append((tick, spikes.copy(), countdown.copy(), pending.copy(), environment, halted))
+            streamed.append((tick, spikes.copy(), list(countdown), list(pending), environment, halted))
     except NondeterministicChoice as tie:
         streamed.append(("tie", tie.neuron, tie.tick))
     return streamed
@@ -167,6 +170,25 @@ def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
     monkeypatch.setattr(Kernel, "ticks", counted)
     assert [frame[0] for frame in frames(system, 10**5)] == list(range(10**5 + 1))
     assert advanced == list(range(13))  # to the proof at tick 8, then one period of 4
+
+
+def test_frames_match_the_kernel_over_many_periods():
+    # dense-20 recurs from tick 26 with period 4: by tick 2000 each slot of
+    # the kept period is visited about 490 times, and the counts pass 1024
+    system = parse_system((Path(__file__).parent / "golden" / "dense-20.snp").read_text())
+    assert first_proof(system) == (26, 4)
+    streamed, expected = streamed_frames(system, 2000), kernel_frames(system, 2000)
+    assert len(streamed) == len(expected) == 2001
+    for got, want in zip(streamed, expected):
+        for field, value, reference in zip(FRAME_FIELDS, got, want):
+            assert value == reference, (got[0], field)
+    assert max(streamed[-1][1]) > 1024
+    # past the kept period, every tick of a slot shares its slot's tuples
+    shared = {}
+    for tick, _, countdown, pending, _, _ in frames(system, 2000):
+        if tick > 26 + 4:
+            shared.setdefault((tick - 27) % 4, set()).add((id(countdown), id(pending)))
+    assert sorted(map(len, shared.values())) == [1, 1, 1, 1]
 
 
 # t spends its 50 spikes one a tick beside a loop of A and B, so the run
