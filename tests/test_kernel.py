@@ -103,9 +103,6 @@ def test_run_matches_reference(system, budget):
     assert kernel_frames(system, budget) == run_frames(system, budget)
 
 
-FRAME_FIELDS = ("tick", "spikes", "countdown", "pending", "environment", "halted")
-
-
 def streamed_frames(system, budget):
     """What ``frames`` yields, each frame copied as it comes, then the tie
     that stopped it, if any."""
@@ -179,8 +176,9 @@ def test_frames_match_the_kernel_over_many_periods():
     assert first_proof(system) == (26, 4)
     streamed, expected = streamed_frames(system, 2000), kernel_frames(system, 2000)
     assert len(streamed) == len(expected) == 2001
+    fields = ("tick", "spikes", "countdown", "pending", "environment", "halted")
     for got, want in zip(streamed, expected):
-        for field, value, reference in zip(FRAME_FIELDS, got, want):
+        for field, value, reference in zip(fields, got, want):
             assert value == reference, (got[0], field)
     assert max(streamed[-1][1]) > 1024
     # past the kept period, every tick of a slot shares its slot's tuples
