@@ -365,8 +365,9 @@ def hazards_from_run(
     """What ``batch_hazards(system)`` returns, worked out from another run
     of ``system``: its first ``event`` ("lost" or "queued", neuron, tick) as
     far as that run went, or None; its ``halt``ing tick or None; and the
-    tick at which halting or a ``Recurrence`` proof ``settled`` the whole
-    run, or None.  None when these facts leave the answer open.
+    tick at which halting, or a ``Recurrence`` proof gated at the neuron
+    count or later (as co-simulation's are), ``settled`` the whole run, or
+    None.  None when these facts leave the answer open.
 
     The check stops at the first event, a tie, halting, its own recurrence
     proof or its budget.  Nothing comes after a recurrence proof that did

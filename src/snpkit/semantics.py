@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import cycle, islice
 from math import lcm
-from operator import add, sub
+from operator import add
 from typing import Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, check
@@ -416,24 +416,55 @@ class Recurrence:
     def proved_by(tick: int, gate: int) -> int:
         """A tick by which a ``Recurrence`` checked on every tick from tick
         ``gate`` on proves a run recurrent that some ``Recurrence`` proved
-        so at ``tick``.
+        so at ``tick`` from a copy saved at ``gate`` or later, as every
+        check gated at ``gate`` or later saves it.
 
-        That proof related tick t = ``tick`` to some saved s < t, and the
-        relation then holds between every tick x >= s and x + (t - s).  This
-        schedule saves at ticks g + 2^m - 2 (m >= 1, g = ``gate``) and
-        compares the next 2^m ticks with each save, so the first save at
-        t - 1 or later (hence at s or later) whose window 2^m reaches t
-        (hence t - s) proves it within t - s <= t ticks.
+        That proof related tick t = ``tick`` to the saved s, with
+        g <= s < t (g = ``gate``), and the relation then holds between
+        every tick x >= s and x + (t - s), where t - s <= t - g.  This
+        schedule saves at ticks g + 2^m - 2 (m >= 1) and compares the next
+        2^m ticks with each save.  Take the first save S = g + 2^m - 2 at
+        t - 1 or later: it is at s or later, and its window 2^m >= t + 1 - g
+        reaches S + (t - s), so the proof comes by S + t - g = 2^m - 2 + t.
         """
         window = 2
-        while window < tick or gate + window < tick + 1:
+        while gate + window < tick + 1:
             window *= 2
-        return gate + window - 2 + tick
+        return window - 2 + tick
+
+
+class GrownCounts(Sequence[int]):
+    """The spike counts of a tick that ``frames`` computes past a proof:
+    ``base``, the counts of its slot's kept frame, with the neurons at
+    indices ``grown`` holding ``values`` instead.
+
+    ``base`` is one tuple per slot, shared by every tick of the slot, and
+    ``grown`` one tuple per run, of the neurons whose count grows over a
+    period; the count of every other neuron is its base count on every
+    visit.  Iteration builds the counts in full.
+    """
+
+    __slots__ = ("base", "grown", "values")
+
+    def __init__(self, base: tuple[int, ...], grown: tuple[int, ...], values: tuple[int, ...]):
+        self.base, self.grown, self.values = base, grown, values
+
+    def __iter__(self) -> Iterator[int]:
+        counts = list(self.base)
+        for i, k in zip(self.grown, self.values):
+            counts[i] = k
+        return iter(counts)
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, i):
+        return [*self][i]
 
 
 def frames(
     system: SnpSystem, max_steps: int
-) -> Iterator[tuple[int, list[int], Sequence[int], Sequence[int], int, bool]]:
+) -> Iterator[tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]]:
     """Every configuration of the run as ``(tick, spikes, countdown, pending,
     environment, halted)``: the kernel's state at each tick of
     ``Kernel.ticks``, to the first halting configuration or tick
@@ -443,14 +474,15 @@ def frames(
     at tick t with period P, it runs P more ticks, keeps their frames, and
     stops: a later tick x is the kept frame of slot ``(x - t - 1) % P``.
     Its countdown and pending are that slot's tuples, the same objects on
-    every tick of the slot; its counts and environment are the slot's
-    previous ones grown by what they grew from tick t to t + P.  Such a run
-    never halts and meets no tie after t.
+    every tick of the slot.  Its counts are a ``GrownCounts`` on the slot's
+    base tuple: only the neurons whose count grew from tick t to t + P
+    change, each by that growth per visit, and the environment grows
+    likewise.  Such a run never halts and meets no tie after t.
 
-    Up to the proof's period, countdown and pending are the kernel's live
-    lists.  The lists of a frame are valid until the generator is resumed.
-    Memory is the kernel's state until a proof and one period of frames
-    after it, whatever ``max_steps``.  Raises NondeterministicChoice as
+    Up to the proof's period, the counts, countdown and pending are the
+    kernel's live lists, valid until the generator is resumed.  Memory is
+    the kernel's state until a proof and one period of frames after it,
+    whatever ``max_steps``.  Raises NondeterministicChoice as
     ``Kernel.ticks`` does.
     """
     kernel = Kernel(system)
@@ -462,17 +494,20 @@ def frames(
     if recurrence.proved is None:
         return
     before, before_env = spikes.copy(), environment
-    slots = []  # per tick of the period: [counts, countdown, pending, environment]
+    kept = []  # per tick of the period: (counts, countdown, pending, environment)
     for tick, environment, halted in islice(ticks, recurrence.period):
         yield tick, spikes, countdown, pending, environment, halted
-        slots.append([spikes.copy(), tuple(countdown), tuple(pending), environment])
-    growth = list(map(sub, spikes, before))
+        kept.append((tuple(spikes), tuple(countdown), tuple(pending), environment))
+    grown = tuple(i for i, (k, b) in enumerate(zip(spikes, before)) if k != b)
+    growth = [spikes[i] - before[i] for i in grown]
     env_growth = environment - before_env
+    # per slot: [base, this visit's grown counts, countdown, pending, environment]
+    slots = [[base, tuple(base[i] for i in grown), *rest] for base, *rest in kept]
     for tick, slot in zip(range(tick + 1, max_steps + 1), cycle(slots)):
-        counts, closed, parked, env = slot
-        slot[0] = counts = list(map(add, counts, growth))
-        slot[3] = env = env + env_growth
-        yield tick, counts, closed, parked, env, False
+        base, values, closed, parked, env = slot
+        slot[1] = values = tuple(map(add, values, growth))
+        slot[4] = env = env + env_growth
+        yield tick, GrownCounts(base, grown, values), closed, parked, env, False
 
 
 def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:

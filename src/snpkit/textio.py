@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
-from .semantics import Trace
+from .semantics import GrownCounts, Trace
 
 
 class ParseError(Exception):
@@ -229,9 +229,9 @@ class TraceStyle(Enum):
 # One configuration as the renderer reads it:
 # (tick, spikes, closed, pending, environment, halted).  ``closed`` holds the
 # ticks until each neuron reopens, ``pending`` its parked batch (0 while
-# open), and ``halted`` is true only on the halting configuration.  A tuple
-# ``closed`` and ``pending`` are taken to be shared by many frames (see
-# ``trace_lines``).
+# open), and ``halted`` is true only on the halting configuration.  A frame
+# whose counts are a ``GrownCounts`` has tuple ``closed`` and ``pending``,
+# shared with every other tick of its slot (see ``trace_lines``).
 Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
 
 
@@ -272,13 +272,14 @@ def trace_lines(
     counts otherwise.  Machine style ends with an outcome record, and
     ``halting_line`` ends paper and table styles with how the run ended.
 
-    Machine style renders the ``"closed"`` and ``"pending"`` arrays of a
-    frame whose countdown and pending are both tuples once per pair of
-    tuple objects, and reuses that text whenever the same pair comes again:
-    ``semantics.frames`` shares one pair among all ticks of a slot of a
-    proved period, so the memo holds at most one period's pairs.  Lists,
-    such as the kernel's live state and ``format_trace``'s frames, are
-    rendered on every frame.
+    Machine style renders a frame whose counts are a ``GrownCounts`` from
+    a line template made once per slot, that is per (base, countdown,
+    pending) objects: the tick, the grown counts and the environment are
+    ``%d`` holes, and every other count and the ``"closed"`` and
+    ``"pending"`` arrays are text.  ``semantics.frames`` shares these
+    objects among all ticks of a slot of a proved period, so the memo
+    holds at most one period's templates.  Other frames, such as the
+    kernel's live state and ``format_trace``'s, are rendered in full.
     """
     if style is TraceStyle.PAPER:
         for tick, spikes, closed, _, environment, halted in frames:
@@ -297,18 +298,26 @@ def trace_lines(
         def render(closed: Sequence[int], pending: Sequence[int]) -> str:
             return f'"closed":[{",".join(map(numeral, closed))}],"pending":[{",".join(map(pending_text, pending))}]'
 
-        # (closed, pending, text) per pair of tuples, keyed by identity: the
-        # entry keeps both tuples alive, so no other object takes their ids
-        rendered: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], str]] = {}
+        def template(counts: GrownCounts, closed: Sequence[int], pending: Sequence[int]) -> str:
+            cells = [*map(numeral, counts.base)]
+            for i in counts.grown:
+                cells[i] = "%d"
+            return f'{{"tick":%d,"spikes":[{",".join(cells)}],{render(closed, pending)},"environment":%d}}'
+
+        # (base, closed, pending, template) per slot, keyed by identity: the
+        # entry keeps the three alive, so no other object takes their ids
+        templates: dict[tuple[int, int, int], tuple[tuple[int, ...], Sequence[int], Sequence[int], str]] = {}
         for tick, spikes, closed, pending, environment, halted in frames:
-            if type(closed) is tuple and type(pending) is tuple:
-                key = id(closed), id(pending)
-                if (entry := rendered.get(key)) is None:
-                    entry = rendered[key] = closed, pending, render(closed, pending)
-                state = entry[2]
+            if type(spikes) is GrownCounts:
+                key = id(spikes.base), id(closed), id(pending)
+                if (entry := templates.get(key)) is None:
+                    entry = templates[key] = spikes.base, closed, pending, template(spikes, closed, pending)
+                yield entry[3] % (tick, *spikes.values, environment)
             else:
-                state = render(closed, pending)
-            yield f'{{"tick":{tick},"spikes":[{",".join(map(numeral, spikes))}],{state},"environment":{environment}}}'
+                yield (
+                    f'{{"tick":{tick},"spikes":[{",".join(map(numeral, spikes))}],'
+                    f'{render(closed, pending)},"environment":{environment}}}'
+                )
         yield f'{{"outcome":"halted","at":{tick}}}' if halted else '{"outcome":"budget-exhausted"}'
         return
     if halting_line:

@@ -20,6 +20,7 @@ from snpkit import (
     NondeterministicChoice,
     Sequential,
     TraceStyle,
+    equivalence,
     format_trace,
     generate,
     model,
@@ -441,9 +442,10 @@ LATE_HALT = parse_system(
 # budget: a run cut at the bound, a tie, an event or a halt after the
 # budget, and recurrences that the overlap check proves only after
 # co-simulation does (at 8,192 of 10,000 ticks) or not within its budget;
-# with 1,996 idle neurons co-simulation proves the loop at tick 4,050, and
-# Recurrence.proved_by(4050, 2000) = 10,144 lands within the neuron count
-# past the budget, so verify runs the overlap check, which proves it at 4,048
+# with 1,996 idle neurons co-simulation proves the loop at tick 4,050 from
+# a copy saved at its neuron count or later, so the overlap check proves it
+# by Recurrence.proved_by(4050, 2000) = 8,144, within the budget, and verify
+# answers without running it (it would prove the loop at 4,048)
 @example(parse_system(QUEUED_LOOP_DOC), 0)
 @example(parse_system(QUEUED_LOOP_DOC), 5)
 @example(parse_system(RELAY_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a\nrule 1: a / a -> a\n")), 200)
@@ -462,6 +464,31 @@ def test_verify_warns_what_transform_warns(tmp_path_factory, system, bound):
     path.write_text(serialize_system(system))
     expected = warned(["transform", str(path)])
     assert warned(["verify", str(path), "--bound", str(bound)]) == expected
+
+
+def test_verify_settles_a_late_loop_without_the_overlap_check(tmp_path, monkeypatch):
+    # what verify prints when the overlap check answers, and then what it
+    # prints when the check fails if run: co-simulation's proof settles it
+    path = tmp_path / "late-loop.snp"
+    path.write_text(serialize_system(late_loop(3500, idle=1996)))
+    argv = ["verify", str(path), "--bound", "20000"]
+
+    def printed():
+        out = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        return code, out.getvalue()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(equivalence, "hazards_from_run", lambda *facts: None)
+        checked = printed()
+
+    def unexpected(system):
+        raise AssertionError("verify ran the overlap check")
+
+    monkeypatch.setattr(equivalence, "batch_hazards", unexpected)
+    assert printed() == checked
 
 
 def test_verify_simulates_each_system_once(tmp_path, monkeypatch):
@@ -561,18 +588,45 @@ def test_sim_prints_the_pinned_run(path, steps, style, options):
     assert sim([str(path), "--max-steps", str(steps), *options]) == (0, golden, "")
 
 
-@pytest.mark.parametrize(
-    "style, ascii_brackets",
-    [(TraceStyle.MACHINE, False), (TraceStyle.PAPER, False), (TraceStyle.PAPER, True), (TraceStyle.TABLE, False)],
-    ids=["machine", "paper", "paper-ascii", "table"],
+# every neuron's count grows by one a tick, so each slot's machine-style
+# template has a hole for every count; D's delay closes it every other tick
+ALL_GROW_DOC = (
+    "system all-grow\n"
+    "neuron A spikes=1\nrule A: a+ / a -> a\nneuron B spikes=1\nrule B: a+ / a -> a\n"
+    "neuron C spikes=1\nrule C: a+ / a -> a\nneuron D\nrule D: a+ / a -> a ; 1\n"
+    "syn A -> B\nsyn A -> C\nsyn A -> D\nsyn B -> A\nsyn B -> C\nsyn B -> D\n"
+    "syn C -> A\nsyn C -> B\nsyn C -> D\nsyn D -> A\nout A\n"
 )
-def test_sim_matches_format_trace_over_many_periods(style, ascii_brackets):
+STYLES = [(TraceStyle.MACHINE, False), (TraceStyle.PAPER, False), (TraceStyle.PAPER, True), (TraceStyle.TABLE, False)]
+STYLE_IDS = ["machine", "paper", "paper-ascii", "table"]
+
+
+@pytest.mark.parametrize(
+    "doc, grown, style, ascii_brackets",
+    [
+        (doc, grown, *style)
+        for doc, grown in (
+            ((GOLDEN / "dense-20.snp").read_text(), 10),
+            ((SYSTEMS_DIR / "iteration-d2.snp").read_text(), 0),
+            (ALL_GROW_DOC, 4),
+        )
+        for style in STYLES
+    ],
+    ids=[*STYLE_IDS, *(f"{name}-{style}" for name in ("iteration-d2", "all-grow") for style in STYLE_IDS)],
+)
+def test_sim_matches_format_trace_over_many_periods(tmp_path, doc, grown, style, ascii_brackets):
     # dense-20 recurs from tick 26 with period 4: by tick 2000 each slot of
     # the period is printed about 490 times, from counts past 1024, the
-    # largest numeral the machine style keeps
-    path = GOLDEN / "dense-20.snp"
+    # largest numeral the machine style keeps; 10 of its 20 counts grow.
+    # iteration-d2 recurs from tick 8 with period 4 and no count grows, and
+    # in all-grow every count grows, past 1024 too
+    system = parse_system(doc)
+    *_, (_, last, *_) = semantics.frames(system, 2000)
+    assert len(last.grown) == grown
+    path = tmp_path / "system.snp"
+    path.write_text(doc)
     argv = [str(path), "--max-steps", "2000", "--style", style.value, *(["--ascii"] if ascii_brackets else [])]
-    expected = expected_sim(parse_system(path.read_text()), 2000, style, ascii_brackets)
+    expected = expected_sim(system, 2000, style, ascii_brackets)
     assert sim(argv) == (0, expected, "")
 
 

@@ -26,6 +26,7 @@ from snpkit import (
     step,
 )
 from snpkit.semantics import Kernel, Recurrence, frames, initial_configuration
+from snpkit.textio import TraceStyle, trace_lines
 
 from .conftest import SYSTEMS_DIR, fan_out_systems, periodic_systems, simple_systems, two_rule_systems
 
@@ -109,7 +110,7 @@ def streamed_frames(system, budget):
     streamed = []
     try:
         for tick, spikes, countdown, pending, environment, halted in frames(system, budget):
-            streamed.append((tick, spikes.copy(), list(countdown), list(pending), environment, halted))
+            streamed.append((tick, list(spikes), list(countdown), list(pending), environment, halted))
     except NondeterministicChoice as tie:
         streamed.append(("tie", tie.neuron, tie.tick))
     return streamed
@@ -181,12 +182,44 @@ def test_frames_match_the_kernel_over_many_periods():
         for field, value, reference in zip(fields, got, want):
             assert value == reference, (got[0], field)
     assert max(streamed[-1][1]) > 1024
-    # past the kept period, every tick of a slot shares its slot's tuples
+    # past the kept period, every tick of a slot shares its slot's base
+    # counts, countdown and pending tuples
     shared = {}
-    for tick, _, countdown, pending, _, _ in frames(system, 2000):
+    for tick, spikes, countdown, pending, _, _ in frames(system, 2000):
         if tick > 26 + 4:
-            shared.setdefault((tick - 27) % 4, set()).add((id(countdown), id(pending)))
+            shared.setdefault((tick - 27) % 4, set()).add((id(spikes.base), id(countdown), id(pending)))
     assert sorted(map(len, shared.values())) == [1, 1, 1, 1]
+
+
+def machine_lines(frames):
+    """The machine-style lines of ``frames``, then the tie that stopped
+    them, if any; a ``("tie", ...)`` frame stands for a tie."""
+    lines = []
+    try:
+        for line in trace_lines(frames, TraceStyle.MACHINE, False, None, False):
+            lines.append(line)
+    except NondeterministicChoice as tie:
+        lines.append(("tie", tie.neuron, tie.tick))
+    return lines
+
+
+@given(st.one_of(systems, periodic_systems(), fan_out_systems()), st.integers(2, 60), st.data())
+@settings(max_examples=200, deadline=None)
+def test_machine_lines_of_frames_match_the_kernel_far_past_a_proof(system, visits, data):
+    # the slot templates of the computed frames print what rendering the
+    # kernel's own lists prints, over many visits to each slot of the period
+    proof = first_proof(system)
+    if proof is None:
+        budget = data.draw(st.integers(0, 300), label="budget")
+    else:
+        t, period = proof
+        budget = t + period * visits + data.draw(st.integers(0, period), label="into a visit")
+    expected = kernel_frames(system, budget)
+    tie = [expected.pop()] if expected and expected[-1][0] == "tie" else []
+    lines = machine_lines(expected)
+    if tie:
+        lines[-1:] = tie  # the outcome record; a tie stops the stream before it
+    assert machine_lines(frames(system, budget)) == lines
 
 
 # t spends its 50 spikes one a tick beside a loop of A and B, so the run
@@ -213,12 +246,13 @@ LATE_LOOP = SnpSystem(
     ids=["iteration-d2", "dense-20", "late-loop"],
 )
 def test_a_check_from_a_gate_proves_a_recurrence_by_proved_by(system):
-    # whichever tick a proof came at, a Recurrence checked on every tick
-    # from tick g on proves the run recurrent by proved_by(t, g); the gated
-    # check of batch_hazards is one of these
+    # whichever tick t a proof gated at g or later came at, a Recurrence
+    # checked on every tick from tick g on proves the run recurrent by
+    # proved_by(t, g); the gated check of batch_hazards is one of these,
+    # and co-simulation's proofs are gated at its neuron count or later
     proofs = [first_proof(system, gate=gate)[0] for gate in range(80)]
-    for t in proofs:
-        for gate, proof in enumerate(proofs):
+    for later, t in enumerate(proofs):
+        for gate, proof in enumerate(proofs[: later + 1]):
             assert proof <= Recurrence.proved_by(t, gate), (t, gate)
 
 
