@@ -295,14 +295,14 @@ def trace_lines(
             yield json.dumps({"system": system.name, "neurons": list(system.ids)}, separators=(",", ":"))
         numeral, pending_text = _json_numerals()
 
-        def render(closed: Sequence[int], pending: Sequence[int]) -> str:
-            return f'"closed":[{",".join(map(numeral, closed))}],"pending":[{",".join(map(pending_text, pending))}]'
-
-        def template(counts: GrownCounts, closed: Sequence[int], pending: Sequence[int]) -> str:
-            cells = [*map(numeral, counts.base)]
-            for i in counts.grown:
-                cells[i] = "%d"
-            return f'{{"tick":%d,"spikes":[{",".join(cells)}],{render(closed, pending)},"environment":%d}}'
+        def record(
+            tick: object, counts: Iterable[str], closed: Sequence[int], pending: Sequence[int], env: object
+        ) -> str:
+            """One tick's record; ``"%d"`` for ``tick`` and ``env`` makes a template."""
+            return (
+                f'{{"tick":{tick},"spikes":[{",".join(counts)}],"closed":[{",".join(map(numeral, closed))}],'
+                f'"pending":[{",".join(map(pending_text, pending))}],"environment":{env}}}'
+            )
 
         # (base, closed, pending, template) per slot, keyed by identity: the
         # entry keeps the three alive, so no other object takes their ids
@@ -311,13 +311,13 @@ def trace_lines(
             if type(spikes) is GrownCounts:
                 key = id(spikes.base), id(closed), id(pending)
                 if (entry := templates.get(key)) is None:
-                    entry = templates[key] = spikes.base, closed, pending, template(spikes, closed, pending)
+                    cells = [*map(numeral, spikes.base)]
+                    for i in spikes.grown:
+                        cells[i] = "%d"
+                    entry = templates[key] = spikes.base, closed, pending, record("%d", cells, closed, pending, "%d")
                 yield entry[3] % (tick, *spikes.values, environment)
             else:
-                yield (
-                    f'{{"tick":{tick},"spikes":[{",".join(map(numeral, spikes))}],'
-                    f'{render(closed, pending)},"environment":{environment}}}'
-                )
+                yield record(tick, map(numeral, spikes), closed, pending, environment)
         yield f'{{"outcome":"halted","at":{tick}}}' if halted else '{"outcome":"budget-exhausted"}'
         return
     if halting_line:

@@ -193,7 +193,7 @@ def test_frames_match_the_kernel_over_many_periods():
 
 def machine_lines(frames):
     """The machine-style lines of ``frames``, then the tie that stopped
-    them, if any; a ``("tie", ...)`` frame stands for a tie."""
+    them, if any."""
     lines = []
     try:
         for line in trace_lines(frames, TraceStyle.MACHINE, False, None, False):
