@@ -18,7 +18,7 @@ from .eliminate import BatchOverlapWarning, TransformResult, UnsupportedDelayedR
 from .equivalence import verify
 from .model import ValidationError
 from .routing import Iteration, Join, Sequential, Split, generate
-from .semantics import Kernel, NondeterministicChoice, Recurrence, frames
+from .semantics import NondeterministicChoice, frames
 from .textio import ParseError, TraceStyle, export_dot, parse_system, serialize_system, trace_lines
 
 EXIT_OK = 0
@@ -32,23 +32,6 @@ def _load(path: str):
     return parse_system(Path(path).read_text())
 
 
-def _ever_closes(system, max_steps: int) -> bool:
-    """Whether some neuron is closed in some configuration of the run, from a
-    run ahead of the one printed that stops at the first closed neuron, where
-    ``Recurrence.settle`` settles it (a run that recurs without closing a
-    neuron never closes one) or at a tie (the printed run stops there too)."""
-    if not any(rule.delayed for neuron in system.neurons for rule in neuron.rules):
-        return False
-    kernel = Kernel(system)
-    try:
-        for _ in Recurrence(kernel).settle(kernel.ticks(max_steps)):
-            if kernel.touched[0]:  # the closed neurons
-                return True
-    except NondeterministicChoice:
-        pass
-    return False
-
-
 def _cmd_sim(args) -> int:
     """Print each configuration as ``frames`` gives it; no trace is kept.
 
@@ -58,11 +41,9 @@ def _cmd_sim(args) -> int:
     system = _load(args.file)
     if args.max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    style = TraceStyle(args.style)
-    closes = style is TraceStyle.TABLE and _ever_closes(system, args.max_steps)
     run = frames(system, args.max_steps)
     write = sys.stdout.write
-    for line in trace_lines(run, style, args.ascii, system, closes, halting_line=True):
+    for line in trace_lines(run, TraceStyle(args.style), args.ascii, system, halting_line=True):
         write(line + "\n")
     return EXIT_OK
 
@@ -139,8 +120,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    two = args.d1 is not None or args.d2 is not None
+    reads = {
+        "sequential": ("d1", "d2") if two else ("d",),
+        "iteration": ("d", "placement"),
+        "join": ("d",),
+        "split": ("d1", "d2"),
+    }[args.kind]
+    for option in ("d", "d1", "d2", "placement"):
+        if option not in reads and getattr(args, option) is not None:
+            raise ValueError(f"{args.kind} ignores --{option}")
     if args.kind == "sequential":
-        if args.d1 is not None or args.d2 is not None:
+        if two:
             if args.d1 is None or args.d2 is None:
                 raise ValueError("sequential with two delays needs both --d1 and --d2")
             instance = Sequential((args.d1, args.d2))
@@ -151,7 +142,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "iteration":
         if args.d is None:
             raise ValueError("iteration needs --d")
-        instance = Iteration(args.d, args.placement)
+        instance = Iteration(args.d, args.placement or "second")
     elif args.kind == "join":
         if args.d is None:
             raise ValueError("join needs --d")
@@ -200,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int)
     gen.add_argument("--d1", type=int)
     gen.add_argument("--d2", type=int)
-    gen.add_argument("--placement", choices=["first", "second"], default="second")
+    gen.add_argument("--placement", choices=["first", "second"])
     gen.set_defaults(handler=_cmd_gen)
 
     dot = sub.add_parser("dot", help="DOT export to standard output")

@@ -251,7 +251,7 @@ def rewrite(system: SnpSystem) -> TransformResult:
     """``eliminate_delays`` without the overlap check: ``hazards`` is empty
     and nothing is warned."""
     normalized, feeder_ids = normalize_initial(system)
-    delays = tuple(r.delay for n in normalized.neurons for r in n.rules if r.delayed)
+    delays = normalized.delays
     if sum(delays) > MAX_ADDED_NEURONS:
         raise RewriteTooLarge(
             f"the delays sum to {sum(delays)}: the rewrite would add more than "
@@ -332,17 +332,13 @@ def _undecided() -> str:
     )
 
 
-def _has_delays(system: SnpSystem) -> bool:
-    return any(rule.delayed for neuron in system.neurons for rule in neuron.rules)
-
-
 def batch_hazards(system: SnpSystem) -> list[str]:
     """The first event of the source's run that the rewrite does not
     reproduce, as a one-item list; [] when ``Recurrence.settle`` settles
     the run without one.  A run that meets a tie, or that the settling
     leaves at its budget of a fixed number of ticks, is reported
     undecided."""
-    if not _has_delays(system):
+    if not system.delays:
         return []
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
@@ -377,7 +373,7 @@ def hazards_from_run(
     the neuron count (``Recurrence.proved_by``), comes there.  Past the
     budget the run is undecided.
     """
-    if not _has_delays(system):
+    if not system.delays:
         return []
     if event is not None:
         kind, neuron, at = event

@@ -119,6 +119,12 @@ class SnpSystem:
         return tuple(tuple(t) for t in out)
 
     @cached_property
+    def delays(self) -> tuple[int, ...]:
+        """The delay of each delayed rule, in declaration order; empty when
+        the system has no delayed rule."""
+        return tuple(rule.delay for neuron in self.neurons for rule in neuron.rules if rule.delayed)
+
+    @cached_property
     def issues(self) -> tuple[str, ...]:
         """Structural problems as messages, found on first use; see
         ``validate``."""

@@ -261,15 +261,15 @@ def trace_lines(
     style: TraceStyle,
     ascii_brackets: bool,
     system: SnpSystem | None,
-    closes: bool,
     halting_line: bool = False,
 ) -> Iterator[str]:
     """Render a run one line at a time, each as soon as its frame arrives.
 
     Table and machine styles start with a header when the system is given.
-    Every frame gives one line; table style shows spikes/countdown pairs if
-    ``closes`` (some neuron is closed somewhere in the run) and bare spike
-    counts otherwise.  Machine style ends with an outcome record, and
+    Every frame gives one line; table style shows spikes/countdown pairs
+    when the system has a delayed rule, and bare spike counts when it has
+    none or is not given, so its columns do not depend on the run or its
+    budget.  Machine style ends with an outcome record, and
     ``halting_line`` ends paper and table styles with how the run ended.
 
     Machine style renders a frame whose counts are a ``GrownCounts`` from
@@ -285,10 +285,11 @@ def trace_lines(
         for tick, spikes, closed, _, environment, halted in frames:
             yield f"C{tick} = {_vector(spikes, closed, environment, ascii_brackets)}"
     elif style is TraceStyle.TABLE:
+        pairs = system is not None and bool(system.delays)
         if system is not None:
             yield "\t".join(["step", *system.ids, "env"])
         for tick, spikes, closed, _, environment, halted in frames:
-            cells = map("{}/{}".format, spikes, closed) if closes else map(str, spikes)
+            cells = map("{}/{}".format, spikes, closed) if pairs else map(str, spikes)
             yield "\t".join([f"t{tick}", *cells, str(environment)])
     else:
         if system is not None:
@@ -335,11 +336,11 @@ def format_trace(
 ) -> str:
     """Render a trace; identical inputs give byte-identical output.
 
-    Table style shows bare spike counts while no neuron ever closes (the
-    delay-free case) and spikes/countdown pairs otherwise; passing the
-    system adds a header row.  Machine style emits one JSON record per
-    tick plus a final outcome record.  The lines are those of
-    ``trace_lines`` over the trace's configurations.
+    Table style needs the system for its header row and for
+    spikes/countdown pairs, which it shows when the system has a delayed
+    rule; without the system it shows bare spike counts.  Machine style
+    emits one JSON record per tick plus a final outcome record.  The lines
+    are those of ``trace_lines`` over the trace's configurations.
     """
     configs = trace.configurations
     last = len(configs) - 1
@@ -354,8 +355,7 @@ def format_trace(
         )
         for i, c in enumerate(configs)
     )
-    closes = any(s.closed_remaining for c in configs for s in c.states)
-    return "\n".join(trace_lines(frames, style, ascii_brackets, system, closes))
+    return "\n".join(trace_lines(frames, style, ascii_brackets, system))
 
 
 # --- DOT export --------------------------------------------------------------

@@ -233,3 +233,36 @@ def fan_out_systems(draw) -> SnpSystem:
         others = [b for b in ids if b != a]
         synapses.update((a, b) for b in draw(st.sets(st.sampled_from(others), min_size=1, max_size=3)))
     return SnpSystem(neurons, frozenset(synapses), draw(st.sampled_from(ids)), "random")
+
+
+@st.composite
+def recurring_systems(draw) -> SnpSystem:
+    """Valid systems whose runs recur: a tail of 0-4 hops into a loop of
+    2-5 hops, each hop an ``a+ / a -> a`` rule with a delay of 0-2, and 1-3
+    fan-out neurons fed from the tail and the loop.  A spike that enters
+    the loop circulates forever; a fan-out neuron without a rule, or one
+    fed faster than its ``(a^k)+ / a^k -> a`` rule spends, grows by the
+    same amount each period, and one that feeds back into the loop can
+    make the loop's counts grow too.  Every neuron has at most one rule, so no
+    run ties, and the loop holds a spike from the start or once the tail's
+    first spike reaches it, so no run halts."""
+    tail = [f"t{i}" for i in range(draw(st.integers(0, 4)))]
+    loop = [f"l{i}" for i in range(draw(st.integers(2, 5)))]
+    fans = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
+    hops = tail + loop
+    neurons = [
+        Neuron(
+            nid,
+            draw(st.integers(1, 3)) if nid == hops[0] else draw(st.sampled_from((0, 0, 0, 1))),
+            (Rule.semi_homogeneous(1, delay=draw(st.sampled_from((0, 0, 1, 2)))),),
+        )
+        for nid in hops
+    ]
+    synapses = set(zip(hops, hops[1:])) | {(loop[-1], loop[0])}
+    for fan in fans:
+        rules = draw(st.sampled_from(((), (Rule.semi_homogeneous(1),), (Rule.semi_homogeneous(2),))))
+        neurons.append(Neuron(fan, 0, rules))
+        synapses.update((nid, fan) for nid in draw(st.sets(st.sampled_from(hops), min_size=1, max_size=3)))
+        if rules and draw(st.booleans()):
+            synapses.add((fan, draw(st.sampled_from(loop))))
+    return SnpSystem(tuple(neurons), frozenset(synapses), draw(st.sampled_from(hops)), "recurring")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from snpkit import (
     BatchOverlapWarning,
+    Iteration,
     Join,
     NondeterministicChoice,
     Sequential,
@@ -29,9 +30,16 @@ from snpkit import (
     semantics,
     serialize_system,
 )
-from snpkit.cli import _ever_closes, main
+from snpkit.cli import main
 
-from .conftest import SYSTEMS_DIR, fan_out_systems, periodic_systems, simple_systems, two_rule_systems
+from .conftest import (
+    SYSTEMS_DIR,
+    fan_out_systems,
+    periodic_systems,
+    recurring_systems,
+    simple_systems,
+    two_rule_systems,
+)
 
 RELAY_DOC = """\
 system relay
@@ -295,6 +303,11 @@ def test_gen_missing_arguments(capsys):
         (["iteration"], "iteration needs --d"),
         (["join"], "join needs --d"),
         (["split"], "split needs --d1 (left) and/or --d2 (right)"),
+        (["split", "--d", "3", "--d1", "2"], "split ignores --d"),
+        (["sequential", "--d", "2", "--d1", "1", "--d2", "4"], "sequential ignores --d"),
+        (["iteration", "--d", "3", "--d1", "5"], "iteration ignores --d1"),
+        (["join", "--d", "2", "--placement", "first"], "join ignores --placement"),
+        (["iteration", "--d", "2"], Iteration(2, "second")),
     ],
 )
 def test_gen_emits_the_instance_or_names_the_missing_delay(argv, instance, capsys):
@@ -630,15 +643,16 @@ def test_sim_matches_format_trace_over_many_periods(tmp_path, doc, grown, style,
     assert sim(argv) == (0, expected, "")
 
 
-def test_table_shows_bare_counts_when_no_delayed_rule_fires(tmp_path):
-    # neuron 2's delayed rule needs five spikes and never gets them
+def test_table_shows_pairs_when_the_delayed_rule_never_fires(tmp_path):
+    # neuron 2's delayed rule needs five spikes and never gets them: the
+    # columns follow the system, which has a delayed rule, not the run
     doc = RELAY_DOC.replace("rule 2: a+ / a -> a ; 2", "rule 2: a^5 / a^5 -> a ; 2")
     path = tmp_path / "idle-delay.snp"
     path.write_text(doc)
     code, out, _ = sim([str(path), "--style", "table"])
     assert code == 0
     assert out == expected_sim(parse_system(doc), 1000, TraceStyle.TABLE, False)
-    assert out.splitlines()[1:3] == ["t0\t1\t0\t0\t0", "t1\t0\t1\t0\t0"]
+    assert out.splitlines()[1:3] == ["t0\t1/0\t0/0\t0/0\t0", "t1\t0/0\t1/0\t0/0\t0"]
     assert out.splitlines()[-1] == "halted at tick 1, environment 0"
 
 
@@ -656,19 +670,16 @@ out A
 """
 
 
-def test_table_look_ahead_stops_at_a_recurrence(tmp_path):
+def test_table_shows_pairs_on_a_recurring_run_that_closes_no_neuron(tmp_path):
     # A and B pass a spike back and forth forever and D's delayed rule never
-    # fires: the run recurs at once, so no budget makes the look-ahead long
+    # fires, so no neuron ever closes; D's rule alone makes the columns pairs
     system = parse_system(IDLE_DELAY_LOOP_DOC)
-    start = time.perf_counter()
-    assert not _ever_closes(system, 10**6)
-    assert time.perf_counter() - start < 0.1
     path = tmp_path / "idle-delay-loop.snp"
     path.write_text(IDLE_DELAY_LOOP_DOC)
     code, out, err = sim([str(path), "--style", "table", "--max-steps", "50"])
     assert (code, err) == (0, "")
     assert out == expected_sim(system, 50, TraceStyle.TABLE, False)
-    assert out.splitlines()[:3] == ["step\tA\tB\tD\tenv", "t0\t1\t0\t0\t0", "t1\t0\t1\t0\t1"]
+    assert out.splitlines()[:3] == ["step\tA\tB\tD\tenv", "t0\t1/0\t0/0\t0/0\t0", "t1\t0/0\t1/0\t0/0\t1"]
     assert out.splitlines()[-1] == "budget exhausted after 50 ticks, environment 25"
 
 
@@ -677,6 +688,46 @@ def test_table_shows_countdowns_when_a_delayed_rule_fires(relay_file):
     assert code == 0
     assert out == expected_sim(parse_system(RELAY_DOC), 1000, TraceStyle.TABLE, False)
     assert out.splitlines()[3] == "t2\t0/0\t0/2\t0/0\t0"
+
+
+@given(
+    st.one_of(simple_systems(), two_rule_systems(), recurring_systems()),
+    st.integers(0, 40),
+    st.integers(1, 40),
+    st.sampled_from(TraceStyle),
+    st.booleans(),
+)
+@example(parse_system(RELAY_DOC), 1, 1, TraceStyle.TABLE, False)
+@settings(max_examples=150, deadline=None)
+def test_a_shorter_budget_prints_a_prefix_of_a_longer_one(
+    tmp_path_factory, system, budget, more, style, ascii_brackets
+):
+    # the header and ticks 0..budget print alike at every budget; only the
+    # last line, how the run ended, may differ
+    path = tmp_path_factory.mktemp("sim") / "system.snp"
+    path.write_text(serialize_system(system))
+    options = ["--style", style.value, *(["--ascii"] if ascii_brackets else [])]
+    code, short, _ = sim([str(path), "--max-steps", str(budget), *options])
+    _, longer, _ = sim([str(path), "--max-steps", str(budget + more), *options])
+    printed = short.splitlines()
+    if code == 0:
+        printed.pop()  # the outcome record or halting line
+    assert longer.splitlines()[: len(printed)] == printed
+
+
+def test_sim_table_simulates_a_delayed_system_once(tmp_path, monkeypatch):
+    path = tmp_path / "idle-delay-loop.snp"
+    path.write_text(IDLE_DELAY_LOOP_DOC)
+    built = []
+    original = semantics.Kernel.__init__
+
+    def counted(self, system):
+        built.append(system.name)
+        original(self, system)
+
+    monkeypatch.setattr(semantics.Kernel, "__init__", counted)
+    code, _, _ = sim([str(path), "--style", "table", "--max-steps", "50"])
+    assert (code, built) == (0, ["idle-delay-loop"])
 
 
 # a delayed neuron after the tie, never reached: no neuron closes before it

@@ -28,9 +28,22 @@ from snpkit import (
 from snpkit.semantics import Kernel, Recurrence, frames, initial_configuration
 from snpkit.textio import TraceStyle, trace_lines
 
-from .conftest import SYSTEMS_DIR, fan_out_systems, periodic_systems, simple_systems, two_rule_systems
+from .conftest import (
+    SYSTEMS_DIR,
+    fan_out_systems,
+    periodic_systems,
+    recurring_systems,
+    simple_systems,
+    two_rule_systems,
+)
 
 systems = st.one_of(simple_systems(), two_rule_systems())
+# half of the draws recur by construction, so that more than half reach a
+# proof (218 and 231 of 400 in two counts); the other half mostly halt or
+# tie before one
+past_a_proof = st.booleans().flatmap(
+    lambda recurs: recurring_systems() if recurs else st.one_of(systems, periodic_systems(), fan_out_systems())
+)
 
 
 def outcome(fn, *args):
@@ -133,7 +146,7 @@ def first_proof(system, budget=10**4, gate=None):
 
 
 @given(
-    st.one_of(systems, periodic_systems(), fan_out_systems()),
+    past_a_proof,
     st.sampled_from(["any", "at the proof", "in the period", "far past"]),
     st.data(),
 )
@@ -196,14 +209,14 @@ def machine_lines(frames):
     them, if any."""
     lines = []
     try:
-        for line in trace_lines(frames, TraceStyle.MACHINE, False, None, False):
+        for line in trace_lines(frames, TraceStyle.MACHINE, False, None):
             lines.append(line)
     except NondeterministicChoice as tie:
         lines.append(("tie", tie.neuron, tie.tick))
     return lines
 
 
-@given(st.one_of(systems, periodic_systems(), fan_out_systems()), st.integers(2, 60), st.data())
+@given(past_a_proof, st.integers(2, 60), st.data())
 @settings(max_examples=200, deadline=None)
 def test_machine_lines_of_frames_match_the_kernel_far_past_a_proof(system, visits, data):
     # the slot templates of the computed frames print what rendering the
