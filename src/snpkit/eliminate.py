@@ -361,17 +361,18 @@ def hazards_from_run(
     """What ``batch_hazards(system)`` returns, worked out from another run
     of ``system``: its first ``event`` ("lost" or "queued", neuron, tick) as
     far as that run went, or None; its ``halt``ing tick or None; and the
-    tick at which halting, or a ``Recurrence`` proof gated at the neuron
-    count or later (as co-simulation's are), ``settled`` the whole run, or
-    None.  None when these facts leave the answer open.
+    tick at which halting, or a proof of a ``Recurrence`` whose first
+    kernel runs ``system`` (as co-simulation's do), ``settled`` the whole
+    run, or None.  None when these facts leave the answer open.
 
     The check stops at the first event, a tie, halting, its own recurrence
     proof or its budget.  Nothing comes after a recurrence proof that did
     not come before it, so the first event is the answer when it comes
     within the budget, and a settled run without one gets [] when it halts
-    within the budget or the check's own proof, checked from its gate at
-    the neuron count (``Recurrence.proved_by``), comes there.  Past the
-    budget the run is undecided.
+    within the budget or is proved recurrent there: every such
+    ``Recurrence`` saves at the ticks the check saves at, so the check
+    proves the run by the tick the other proof came at.  Past the budget
+    the run is undecided.
     """
     if not system.delays:
         return []
@@ -380,6 +381,6 @@ def hazards_from_run(
         return [_hazard(kind, neuron, at) if at <= _HAZARD_TICKS else _undecided()]
     if halt is not None:
         return [] if halt <= _HAZARD_TICKS else [_undecided()]
-    if settled is not None and Recurrence.proved_by(settled, len(system.neurons)) <= _HAZARD_TICKS:
+    if settled is not None and settled <= _HAZARD_TICKS:
         return []
     return None

@@ -80,7 +80,8 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     The verdict also records two facts of the source's run that the
     co-simulation has anyway: its first event that the rewrite does not
     reproduce (``Kernel.event``), as far as the run went, and the tick at
-    which its halting or a recurrence proof settled the whole run.
+    which its halting or a recurrence proof settled the whole run, by which
+    the overlap check on the source settles it too.
 
     Only the kernels' state and one saved copy of it are kept, so memory
     does not grow with the bound.  A malformed system raises
@@ -112,7 +113,7 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
                 return
             yield tick, a, source_halt is not None and target_halt is not None
 
-    settling = Recurrence(src, tgt)
+    settling = Recurrence(src, tgt)  # the source first: it saves where the overlap check does
     try:
         for _ in settling.settle(lock_step()):
             pass

@@ -319,13 +319,23 @@ class Recurrence:
     ``settle`` calls ``recurs`` once per tick from its gate on, after each
     kernel that still runs has yielded the tick; a halted kernel stays as it
     stopped.  Brent's cycle detection (Brent, *BIT* 20, 1980) saves the
-    state at the first call and after 2, 4, 8, ... more, and compares each
-    call with the copy saved last.  The state at tick t recurs the one
-    saved at tick s when, on every kernel, countdowns and pending batches
-    are equal and each count is equal or has grown by a multiple of L while
-    staying at T or more from s to t.  L is the lcm of the neuron's guard
-    periods (1 with none); T is max(largest guard offset + 1, largest
-    consumption).
+    state at fixed ticks, a + 2^m - 2 for m >= 1 with a the neuron count of
+    the first kernel, from the first at or after the gate (the largest
+    neuron count) and the first call, and compares each tick with the copy
+    saved last.  The state at tick t recurs the one saved at tick s when,
+    on every kernel, countdowns and pending batches are equal and each
+    count is equal or has grown by a multiple of L while staying at T or
+    more from s to t.  L is the lcm of the neuron's guard periods (1 with
+    none); T is max(largest guard offset + 1, largest consumption).
+
+    So every check whose first kernel runs the same system saves on one
+    schedule, and a check on that kernel alone saves at each of its ticks
+    from the neuron count on.  When any of them proves the run at t from
+    the copy saved at s, the lone check has saved the same state at s, and
+    still holds it at t unless it proved the run sooner: it proves the run
+    by t.  ``co_simulate`` puts the source first, so the overlap check
+    (``eliminate.batch_hazards``) proves the source's run by the tick at
+    which co-simulation does.
 
     Why that is a proof: from T spikes on, every consumption is covered and
     no guard matches on an offset alone, so the enabled rules depend on the
@@ -337,19 +347,21 @@ class Recurrence:
     halted at t had halted by s, one running never halts, and no tie or
     event comes after t that did not come between s and t.
 
-    Once ``recurs`` has returned True, ``period`` is the number of calls
-    from the one that saved the copy to that one: t - s when it is called
-    on every tick.  Every tick x >= t then holds, on every kernel, the
-    counts of tick x - period grown by those of t less those of s, the same
-    countdowns and pending batches, and an environment grown likewise.
+    Once ``recurs`` has returned True, ``period`` is t - s.  Every tick
+    x >= t then holds, on every kernel, the counts of tick x - period grown
+    by those of t less those of s, the same countdowns and pending batches,
+    and an environment grown likewise.
     """
 
     def __init__(self, *kernels: Kernel):
         # per kernel: (L, T) once needed, saved state, lows since, neurons apart
         self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set()) for k in kernels]
-        self.power, self.steps = 1, 0  # power > 1 once a copy is saved
+        self.anchor = len(kernels[0].spikes)
         self.gate = max(len(k.spikes) for k in kernels)
+        self.saved: int | None = None  # the tick of the copy
+        self.save_at: int | None = None  # the tick of the next
         self.proved: int | None = None
+        self.period: int | None = None
 
     def settle(self, ticks: Iterator[tuple[int, int, bool]]) -> Iterator[tuple[int, int, bool]]:
         """Re-yield ``ticks``, the ``(tick, environment, halted)`` stream of
@@ -365,14 +377,15 @@ class Recurrence:
             yield item
             if item[2]:
                 return
-            if item[0] >= gate and self.recurs():
+            if item[0] >= gate and self.recurs(item[0]):
                 self.proved = item[0]
                 return
 
-    def recurs(self) -> bool:
-        """Whether the state recurs the copy saved last, at the cost of the
-        touched neurons: only those can change how they relate."""
-        if self.power > 1:
+    def recurs(self, tick: int) -> bool:
+        """Whether the state at ``tick`` recurs the copy saved last, at the
+        cost of the touched neurons: only those can change how they relate.
+        Called on every tick from the first call on."""
+        if self.saved is not None:
             related = True
             for kernel, bounds, spikes, countdown, pending, low, apart in self.sides:
                 now, closing, parked = kernel.spikes, kernel.countdown, kernel.pending
@@ -396,41 +409,19 @@ class Recurrence:
                 if apart:
                     related = False
             if related:
+                self.period = tick - self.saved
                 return True
-        self.steps += 1
-        if self.steps == self.power:
+        if self.save_at is None:  # the first save at or after the gate and this call
+            self.save_at = self.anchor
+            while self.save_at < max(self.gate, tick):
+                self.save_at = 2 * self.save_at - self.anchor + 2
+        if tick == self.save_at:
             self.sides = [
                 (k, bounds, k.spikes.copy(), k.countdown.copy(), k.pending.copy(), k.spikes.copy(), set())
                 for k, bounds, *_ in self.sides
             ]
-            self.power *= 2
-            self.steps = 0
+            self.saved, self.save_at = tick, 2 * tick - self.anchor + 2
         return False
-
-    @property
-    def period(self) -> int:
-        """t - s of the proof, valid once ``recurs`` has returned True."""
-        return self.steps + 1
-
-    @staticmethod
-    def proved_by(tick: int, gate: int) -> int:
-        """A tick by which a ``Recurrence`` checked on every tick from tick
-        ``gate`` on proves a run recurrent that some ``Recurrence`` proved
-        so at ``tick`` from a copy saved at ``gate`` or later, as every
-        check gated at ``gate`` or later saves it.
-
-        That proof related tick t = ``tick`` to the saved s, with
-        g <= s < t (g = ``gate``), and the relation then holds between
-        every tick x >= s and x + (t - s), where t - s <= t - g.  This
-        schedule saves at ticks g + 2^m - 2 (m >= 1) and compares the next
-        2^m ticks with each save.  Take the first save S = g + 2^m - 2 at
-        t - 1 or later: it is at s or later, and its window 2^m >= t + 1 - g
-        reaches S + (t - s), so the proof comes by S + t - g = 2^m - 2 + t.
-        """
-        window = 2
-        while gate + window < tick + 1:
-            window *= 2
-        return window - 2 + tick
 
 
 class GrownCounts(Sequence[int]):

@@ -35,6 +35,7 @@ from snpkit.cli import main
 from .conftest import (
     SYSTEMS_DIR,
     fan_out_systems,
+    mostly_recurring,
     periodic_systems,
     recurring_systems,
     simple_systems,
@@ -419,16 +420,19 @@ def warned(argv):
     return lines, [str(w.message) for w in caught if w.category is BatchOverlapWarning]
 
 
-def late_loop(spikes, idle=0):
-    """A loop that starts repeating once ``t`` has spent its spikes, one a
-    tick, beside a delayed neuron that never fires and ``idle`` neurons
-    without rules."""
+def late_loop(spikes, idle=0, hops=2):
+    """A loop of ``hops`` neurons, A, B and then c2, c3, ..., that passes
+    one spike around and starts repeating once ``t`` has spent its spikes,
+    one a tick, beside a delayed neuron that never fires and ``idle``
+    neurons without rules."""
+    loop = ["A", "B"] + [f"c{k}" for k in range(2, hops)]
     return parse_system(
         f"system late-loop\nneuron t spikes={spikes}\nrule t: a+ / a -> a\n"
-        "neuron A spikes=1\nrule A: a+ / a -> a\nneuron B\nrule B: a+ / a -> a\n"
-        "neuron d\nrule d: a+ / a -> a ; 2\n"
+        + "".join(f"neuron {n}{' spikes=1' if n == 'A' else ''}\nrule {n}: a+ / a -> a\n" for n in loop)
+        + "neuron d\nrule d: a+ / a -> a ; 2\n"
         + "".join(f"neuron i{k}\n" for k in range(idle))
-        + "syn A -> B\nsyn B -> A\nout A\n"
+        + "".join(f"syn {a} -> {b}\n" for a, b in zip(loop, loop[1:] + loop[:1]))
+        + "out A\n"
     )
 
 
@@ -448,17 +452,22 @@ LATE_HALT = parse_system(
 
 
 @given(
-    st.one_of(simple_systems(), two_rule_systems(), periodic_systems(), fan_out_systems()),
-    st.one_of(st.integers(0, 300), st.just(1500)),
+    mostly_recurring(st.one_of(simple_systems(), two_rule_systems(), periodic_systems(), fan_out_systems())),
+    st.one_of(st.sampled_from([1500, 20_000]), st.integers(0, 300)),
 )
 # the hazards that co-simulation leaves open, or settles only past the
 # budget: a run cut at the bound, a tie, an event or a halt after the
-# budget, and recurrences that the overlap check proves only after
-# co-simulation does (at 8,192 of 10,000 ticks) or not within its budget;
-# with 1,996 idle neurons co-simulation proves the loop at tick 4,050 from
-# a copy saved at its neuron count or later, so the overlap check proves it
-# by Recurrence.proved_by(4050, 2000) = 8,144, within the budget, and verify
-# answers without running it (it would prove the loop at 4,048)
+# budget, and loops that start repeating before the overlap check's save at
+# tick 8,194 (5,000 spikes, proved at 8,196), just after it (8,195 spikes)
+# or well after it (8,500), both proved at 16,388, past its budget of
+# 10,000.  Every check on the source's run saves at the same ticks, the
+# source's neuron count plus 2^m - 2, so co-simulation proves each loop
+# where the overlap check does, and verify answers without running it when
+# that is within the budget: with 1,996 idle neurons beside the loop,
+# co-simulation's joint check starts at the target's 2,002 neurons and
+# still proves it at 4,048.  A loop of 904 hops that starts repeating at
+# tick 6,000 is proved one period after the save at 906 + 8,190, at the
+# budget's last tick, and one idle neuron more puts the proof one tick past
 @example(parse_system(QUEUED_LOOP_DOC), 0)
 @example(parse_system(QUEUED_LOOP_DOC), 5)
 @example(parse_system(RELAY_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a\nrule 1: a / a -> a\n")), 200)
@@ -467,8 +476,11 @@ LATE_HALT = parse_system(
 @example(LATE_LOSS, 1500)
 @example(LATE_HALT, 20_000)
 @example(late_loop(5000), 20_000)
+@example(late_loop(8195), 20_000)
 @example(late_loop(8500), 20_000)
 @example(late_loop(3500, idle=1996), 20_000)
+@example(late_loop(6000, hops=904), 20_000)
+@example(late_loop(6000, idle=1, hops=904), 20_000)
 @settings(max_examples=300, deadline=None)
 def test_verify_warns_what_transform_warns(tmp_path_factory, system, bound):
     # verify takes the hazards from its co-simulated run of the source,
@@ -481,27 +493,28 @@ def test_verify_warns_what_transform_warns(tmp_path_factory, system, bound):
 
 def test_verify_settles_a_late_loop_without_the_overlap_check(tmp_path, monkeypatch):
     # what verify prints when the overlap check answers, and then what it
-    # prints when the check fails if run: co-simulation's proof settles it
-    path = tmp_path / "late-loop.snp"
-    path.write_text(serialize_system(late_loop(3500, idle=1996)))
-    argv = ["verify", str(path), "--bound", "20000"]
-
-    def printed():
+    # prints when the check fails if run: co-simulation's proof settles it,
+    # also when it comes on the budget's last tick
+    def printed(argv):
         out = io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(out):
             warnings.simplefilter("ignore")
             code = main(argv)
         return code, out.getvalue()
 
-    with monkeypatch.context() as patched:
-        patched.setattr(equivalence, "hazards_from_run", lambda *facts: None)
-        checked = printed()
-
     def unexpected(system):
         raise AssertionError("verify ran the overlap check")
 
-    monkeypatch.setattr(equivalence, "batch_hazards", unexpected)
-    assert printed() == checked
+    for name, system in [("gated-later", late_loop(3500, idle=1996)), ("at-the-budget", late_loop(6000, hops=904))]:
+        path = tmp_path / f"{name}.snp"
+        path.write_text(serialize_system(system))
+        argv = ["verify", str(path), "--bound", "20000"]
+        with monkeypatch.context() as patched:
+            patched.setattr(equivalence, "hazards_from_run", lambda *facts: None)
+            checked = printed(argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(equivalence, "batch_hazards", unexpected)
+            assert printed(argv) == checked, name
 
 
 def test_verify_simulates_each_system_once(tmp_path, monkeypatch):
