@@ -250,6 +250,40 @@ LATE_LOOP = SnpSystem(
 )
 
 
+def proof_from(system, start, budget=10**4):
+    """The tick of the first proof of a ``Recurrence`` first called at tick
+    ``start`` and on every tick after it; None when the run halts first."""
+    kernel = Kernel(system)
+    recurrence = Recurrence(kernel)
+    for tick, _, halted in kernel.ticks(budget):
+        if not halted and tick >= start and recurrence.recurs(tick):
+            return tick
+    return None
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        parse_system((SYSTEMS_DIR / "iteration-d2.snp").read_text()),
+        parse_system((Path(__file__).parent / "golden" / "dense-20.snp").read_text()),
+        LATE_LOOP,
+    ],
+    ids=["iteration-d2", "dense-20", "late-loop"],
+)
+def test_a_check_from_a_gate_proves_a_recurrence_by_proved_by(system):
+    # a check first called at tick g saves on the same schedule as one first
+    # called at any later tick h, so it holds the copy that proved the run at
+    # t for the later check, and the tick it proves by is that t itself: the
+    # lone check of batch_hazards, called from the neuron count, proves by
+    # whatever tick a check from a later gate proves at
+    proofs = [proof_from(system, gate) for gate in range(80)]
+    assert None not in proofs
+    assert proofs[len(system.neurons)] == first_proof(system)[0]
+    for later, t in enumerate(proofs):
+        for gate, proof in enumerate(proofs[: later + 1]):
+            assert proof <= t, (gate, later)
+
+
 @pytest.mark.parametrize(
     "idle, start, saves",
     [(0, 0, [3, 5, 9, 17, 33, 65]), (10, 0, [17, 33, 65]), (0, 20, [33, 65])],
