@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
+from .model import Frozen, Neuron, Rule, SnpSystem, SpikeRegex, check
 from .semantics import Kernel, NondeterministicChoice, Recurrence
 
 
@@ -79,8 +78,7 @@ class IdAllocator:
         return candidate
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where a target neuron comes from: a verbatim copy (role None) or a
     named part of the subnet replacing ``source``."""
 
@@ -93,8 +91,7 @@ class Provenance:
         return self.role is None
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class _TransformResult(NamedTuple):
     normalized_source: SnpSystem
     target: SnpSystem
     feeders: tuple[str, ...]
@@ -105,6 +102,12 @@ class TransformResult:
     delays: tuple[int, ...]
     added_count: int
     hazards: tuple[str, ...] = ()
+
+
+class TransformResult(Frozen, _TransformResult):
+    """The rewrite of a source: its target, how it was built, and the
+    overlap warnings.  Without ``__slots__``, so that ``provenance`` has an
+    instance dict to be cached in."""
 
     @functools.cached_property
     def provenance(self) -> dict[str, Provenance]:
@@ -173,7 +176,7 @@ def normalize_initial(system: SnpSystem) -> tuple[SnpSystem, tuple[str, ...]]:
             )
             feeder_ids.append(feeder_id)
             synapses.add((feeder_id, neuron.id))
-            body.append(replace(neuron, initial_spikes=0))
+            body.append(neuron._replace(initial_spikes=0))
         else:
             body.append(neuron)
     if not feeders:
@@ -244,7 +247,7 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     hazards = tuple(batch_hazards(result.normalized_source))
     for message in hazards:
         warnings.warn(BatchOverlapWarning(message), stacklevel=2)
-    return replace(result, hazards=hazards)
+    return result._replace(hazards=hazards)
 
 
 def rewrite(system: SnpSystem) -> TransformResult:

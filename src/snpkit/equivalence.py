@@ -17,15 +17,14 @@ change the verdict, and returns exactly the verdict of a run to the bound.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .eliminate import BatchOverlapWarning, TransformResult, batch_hazards, hazards_from_run, rewrite
 from .model import SnpSystem
 from .semantics import Kernel, NondeterministicChoice, Recurrence
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one co-simulation over ticks 0..bound."""
 
     source_halt: int | None
@@ -184,4 +183,4 @@ def verify(system: SnpSystem, bound: int = 200) -> tuple[TransformResult, Verdic
         hazards = batch_hazards(source)
     for message in hazards:
         warnings.warn(BatchOverlapWarning(message), stacklevel=2)
-    return replace(result, hazards=tuple(hazards)), verdict
+    return result._replace(hazards=tuple(hazards)), verdict

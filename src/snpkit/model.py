@@ -1,13 +1,64 @@
-"""Data model for spiking neural P systems: guards, rules, neurons, graphs."""
+"""Data model for spiking neural P systems: guards, rules, neurons, graphs.
+
+The records are plain classes, cheap to create when snpkit is imported.
+``Rule`` and ``SpikeRegex`` are slot classes: the kernel reads their fields
+per neuron per tick, and CPython specialises attribute reads on slots but
+not on a tuple's fields.  Every other record is a ``NamedTuple``: immutable,
+equal and hashed by value, iterable, and equal to a plain tuple of the same
+values.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class SpikeRegex:
+class Frozen:
+    """Refuses every assignment and deletion; a base of the records whose
+    instances have more than a tuple's fields (slots, or a cache dict)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SlotRecord(Frozen):
+    """Value semantics over ``__slots__``, in the slot order: equality with
+    the same class only, hashing, a ``Name(field=value, ...)`` repr and
+    pickling through the constructor."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+# ``_make``, and so ``_replace``, of a NamedTuple whose subclass validates in
+# ``__new__``: the NamedTuple's own builds the tuple without calling it
+validated_make = classmethod(lambda cls, values: cls(*values))
+
+
+class SpikeRegex(SlotRecord):
     """A spike-count guard: a finite union of arithmetic progressions.
 
     Each term ``(offset, period)`` denotes the counts ``offset + n * period``
@@ -19,10 +70,11 @@ class SpikeRegex:
     Terms are canonicalised on construction: sorted, duplicates removed.
     """
 
+    __slots__ = __match_args__ = ("terms",)
     terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        canon = sorted({(int(o), int(p)) for o, p in self.terms})
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
+        canon = sorted({(int(o), int(p)) for o, p in terms})
         if not canon:
             raise ValueError("a spike guard needs at least one term")
         for o, p in canon:
@@ -51,9 +103,9 @@ class SpikeRegex:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    """A firing rule (slotted, like its guard: the kernel reads both per check).
+class Rule(SlotRecord):
+    """A firing rule (a slot class, like its guard: the kernel reads both per
+    check).
 
     When the neuron's spike count matches ``guard`` and is at least
     ``consume``, the rule may fire: ``consume`` spikes are removed and
@@ -62,10 +114,18 @@ class Rule:
     forgetting rule: it eats spikes, emits nothing, and is never delayed.
     """
 
+    __slots__ = __match_args__ = ("guard", "consume", "produce", "delay")
     guard: SpikeRegex
     consume: int
-    produce: int = 1
-    delay: int = 0
+    produce: int
+    delay: int
+
+    def __init__(self, guard: SpikeRegex, consume: int, produce: int = 1, delay: int = 0):
+        set_field = object.__setattr__
+        set_field(self, "guard", guard)
+        set_field(self, "consume", consume)
+        set_field(self, "produce", produce)
+        set_field(self, "delay", delay)
 
     @classmethod
     def semi_homogeneous(cls, k: int = 1, delay: int = 0) -> "Rule":
@@ -77,27 +137,30 @@ class Rule:
         return self.delay >= 1
 
 
-@dataclass(frozen=True, slots=True)
-class Neuron:
+class Neuron(NamedTuple):
     id: str
     initial_spikes: int = 0
     rules: tuple[Rule, ...] = ()
 
 
-@dataclass(frozen=True)
-class SnpSystem:
+class _SnpSystem(NamedTuple):
+    neurons: tuple[Neuron, ...]
+    synapses: frozenset[tuple[str, str]]
+    output: str
+    name: str = "system"
+
+
+class SnpSystem(Frozen, _SnpSystem):
     """Immutable neuron graph with a designated output neuron.
 
     Synapses are ordered pairs of neuron ids; self-loops are not allowed.
     Spikes emitted by the output neuron also reach the environment, the
     external sink whose count is the result of a halted run.  Instances are
     safe to share across threads; all simulation state lives elsewhere.
-    """
 
-    neurons: tuple[Neuron, ...]
-    synapses: frozenset[tuple[str, str]]
-    output: str
-    name: str = "system"
+    Without ``__slots__``, so that the cached properties below have an
+    instance dict to live in.
+    """
 
     @property
     def ids(self) -> tuple[str, ...]:

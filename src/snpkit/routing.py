@@ -8,61 +8,63 @@ in sequence for larger test subjects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple
 
-from .model import Neuron, Rule, SnpSystem, SpikeRegex
+from .model import Neuron, Rule, SnpSystem, SpikeRegex, validated_make
 
 
-@dataclass(frozen=True)
-class Sequential:
+class Sequential(NamedTuple("Sequential", [("delays", tuple[int, ...])])):
     """A chain: one forwarding neuron, then one delayed hop per entry."""
 
-    delays: tuple[int, ...]
+    __slots__ = ()
+    _make = validated_make
 
-    def __post_init__(self):
-        object.__setattr__(self, "delays", tuple(self.delays))
-        if not self.delays or any(d < 1 for d in self.delays):
+    def __new__(cls, delays: Iterable[int]):
+        delays = tuple(delays)
+        if not delays or any(d < 1 for d in delays):
             raise ValueError("sequential routing needs at least one delay >= 1")
+        return super().__new__(cls, delays)
 
 
-@dataclass(frozen=True)
-class Iteration:
+class Iteration(NamedTuple("Iteration", [("d", int), ("delay_on", str)])):
     """Two neurons in a loop; the delay sits on the first or second one."""
 
-    d: int
-    delay_on: str = "second"
+    __slots__ = ()
+    _make = validated_make
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int, delay_on: str = "second"):
+        if d < 1:
             raise ValueError("iteration delay must be >= 1")
-        if self.delay_on not in ("first", "second"):
+        if delay_on not in ("first", "second"):
             raise ValueError("delay_on must be 'first' or 'second'")
+        return super().__new__(cls, d, delay_on)
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(NamedTuple("Join", [("d", int)])):
     """Two spike holders converging on a delayed collector."""
 
-    d: int
+    __slots__ = ()
+    _make = validated_make
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int):
+        if d < 1:
             raise ValueError("join delay must be >= 1")
+        return super().__new__(cls, d)
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple("Split", [("d_left", int | None), ("d_right", int | None)])):
     """One spike fanned out over two branches that re-merge at the output."""
 
-    d_left: int | None = None
-    d_right: int | None = None
+    __slots__ = ()
+    _make = validated_make
 
-    def __post_init__(self):
-        if self.d_left is None and self.d_right is None:
+    def __new__(cls, d_left: int | None = None, d_right: int | None = None):
+        if d_left is None and d_right is None:
             raise ValueError("split routing needs a delay on at least one branch")
-        for d in (self.d_left, self.d_right):
+        for d in (d_left, d_right):
             if d is not None and d < 1:
                 raise ValueError("split delays must be >= 1")
+        return super().__new__(cls, d_left, d_right)
 
 
 RoutingInstance = Sequential | Iteration | Join | Split
@@ -132,7 +134,7 @@ def compose(instances: list[RoutingInstance], name: str = "composite") -> SnpSys
         entries = [prefix + n.id for n in part.neurons if n.initial_spikes >= 1]
         for neuron in part.neurons:
             spikes = neuron.initial_spikes if i == 1 else 0
-            neurons.append(replace(neuron, id=prefix + neuron.id, initial_spikes=spikes))
+            neurons.append(neuron._replace(id=prefix + neuron.id, initial_spikes=spikes))
         synapses |= {(prefix + a, prefix + b) for a, b in part.synapses}
         if previous_output is not None:
             synapses |= {(previous_output, entry) for entry in entries}

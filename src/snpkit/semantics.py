@@ -8,13 +8,12 @@ and the parked emission is released the moment it reopens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import cycle, islice
 from math import lcm
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .model import Neuron, Rule, SnpSystem, check
+from .model import Neuron, Rule, SnpSystem, check, validated_make
 
 
 class NondeterministicChoice(Exception):
@@ -37,8 +36,9 @@ class NondeterministicChoice(Exception):
         return f"neuron {self.neuron} has several enabled rules at tick {self.tick}{where}"
 
 
-@dataclass(frozen=True)
-class NeuronState:
+class NeuronState(
+    NamedTuple("NeuronState", [("spikes", int), ("closed_remaining", int), ("pending_emission", int)])
+):
     """Per-neuron slice of a configuration.
 
     ``closed_remaining`` counts ticks until the neuron reopens;
@@ -46,20 +46,19 @@ class NeuronState:
     while the neuron is closed, and 0 while it is open, as in the ``Kernel``.
     """
 
-    spikes: int
-    closed_remaining: int = 0
-    pending_emission: int = 0
+    __slots__ = ()
+    _make = validated_make
 
-    def __post_init__(self):
-        if self.closed_remaining >= 1:
-            if self.pending_emission < 1:
+    def __new__(cls, spikes: int, closed_remaining: int = 0, pending_emission: int = 0):
+        if closed_remaining >= 1:
+            if pending_emission < 1:
                 raise ValueError("pending emission must be a positive spike count")
-        elif self.pending_emission:
+        elif pending_emission:
             raise ValueError("pending emission must be present exactly while closed")
+        return super().__new__(cls, spikes, closed_remaining, pending_emission)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Snapshot at one tick: neuron states in declaration order, plus the
     environment count."""
 
@@ -68,8 +67,7 @@ class Configuration:
     tick: int = 0
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Consecutive configurations from tick 0.  ``halted`` tells whether the
     last one halts (at ``final.tick``) or the budget ran out on it."""
 

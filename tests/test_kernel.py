@@ -6,6 +6,7 @@ kernel."""
 import time
 import tracemalloc
 import warnings
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from .conftest import (
     fan_out_systems,
     mostly_recurring,
     periodic_systems,
+    recurring_systems,
     simple_systems,
     two_rule_systems,
 )
@@ -56,13 +58,19 @@ def outcome(fn, *args):
         return ("tie", err.neuron, err.tick, err.system)
 
 
+def is_tie(result):
+    """Whether ``result`` is the tie that ``outcome`` returns: a plain
+    tuple, where every record (a ``Trace``, a ``Verdict``) is a subclass."""
+    return type(result) is tuple and result[0] == "tie"
+
+
 def reference_verdict(source, target, bound):
     """Halting ticks, counts at halt and first divergence, from the full
     reference traces of the source and then the target."""
     sides = []
     for system, label in ((source, "source"), (target, "target")):
         trace = outcome(run, system, bound)
-        if isinstance(trace, tuple):
+        if is_tie(trace):
             return trace[:3] + (label,)
         sides.append(trace)
     envs = [[c.environment for c in t.configurations] for t in sides]
@@ -308,6 +316,71 @@ def test_every_check_saves_on_the_schedule_of_its_first_kernel(idle, start, save
     assert (saved, tick, recurrence.period) == (saves, 67, 2)
 
 
+def period_and_floor(rules):
+    """L and T of a neuron, as the ``Recurrence`` docstring defines them."""
+    terms = [term for rule in rules for term in rule.guard.terms]
+    floor = max([offset + 1 for offset, _ in terms] + [rule.consume for rule in rules], default=0)
+    return lcm(*(period for _, period in terms if period)), floor
+
+
+def related(configs, marks, s, t):
+    """Whether the state at tick t recurs the one at s on the reference run,
+    by ``Recurrence``'s definition: equal countdowns and pending batches, and
+    each count equal or grown by a multiple of L, staying at T or more from
+    s to t."""
+    for i, (then, now) in enumerate(zip(configs[s].states, configs[t].states)):
+        if (now.closed_remaining, now.pending_emission) != (then.closed_remaining, then.pending_emission):
+            return False
+        if now.spikes != then.spikes:
+            period, floor = marks[i]
+            if now.spikes < then.spikes or (now.spikes - then.spikes) % period:
+                return False
+            if min(c.states[i].spikes for c in configs[s : t + 1]) < floor:
+                return False
+    return True
+
+
+def save_schedule_bound(a, onset, period):
+    """The tick by which a check that saves at a + 2^m - 2 proves a run whose
+    every tick from ``onset`` on recurs the tick ``period`` earlier."""
+    m = 1
+    while a + 2**m - 2 < onset or 2**m < period:
+        m += 1
+    return a + 2**m - 2 + period
+
+
+@given(recurring_systems())
+@example(LATE_LOOP)
+@settings(max_examples=100, deadline=None)
+def test_each_proof_comes_by_the_bound_of_the_save_schedule(system):
+    """Say the reference run's state at tick t recurs the one at s < t, and
+    let P = t - s.  Then tick x + P recurs tick x for every x >= s: from t on
+    each tick repeats the tick P earlier grown by the same counts (the
+    ``Recurrence`` docstring), so countdowns and pending batches repeat, a
+    count that grows keeps growing by the same multiple of L, and one that
+    stayed at T or more from s to t stays there.
+
+    A check called on every tick from the neuron count a saves at
+    S_m = a + 2^m - 2 for m >= 1 and compares ticks S_m + 1 to
+    S_(m+1) = S_m + 2^m with the copy of S_m.  Take the least m with
+    S_m >= s and 2^m >= P: tick S_m + P recurs S_m and falls in that window,
+    so the proof comes at S_m + P or sooner.  The onset and period come from
+    the run, not the draw, since a fan-out neuron's count must first reach
+    its floor.  The pair at the proof itself gives exactly the proof's tick,
+    so a schedule that saves later, or whose windows grow faster, misses the
+    bound of some pair that the relation meets before its save."""
+    proof, _ = first_proof(system)
+    configs = run(system, proof).configurations
+    marks = [period_and_floor(neuron.rules) for neuron in system.neurons]
+    bound = min(
+        save_schedule_bound(len(system.neurons), s, t - s)
+        for t in range(1, proof + 1)
+        for s in range(t)
+        if related(configs, marks, s, t)
+    )
+    assert proof <= bound
+
+
 # n0 loops with n1 through a delayed rule that four one-shot neurons feed
 # at once; the rewrite parts from the source at tick 7, after which the
 # source runs on alone, and the overlap check proves its run at tick 25
@@ -341,7 +414,7 @@ def test_the_overlap_check_proves_what_co_simulation_proves(system, bound):
 @settings(max_examples=200)
 def test_env_trajectory_matches_reference(system, bound):
     expected = outcome(run, system, bound)
-    if isinstance(expected, tuple):
+    if is_tie(expected):
         assert outcome(env_trajectory, system, bound) == expected
     else:
         assert env_trajectory(system, bound) == [c.environment for c in expected.configurations]
@@ -350,7 +423,7 @@ def test_env_trajectory_matches_reference(system, bound):
 def assert_matches_reference(source, target, bound):
     expected = reference_verdict(source, target, bound)
     verdict = outcome(co_simulate, source, target, bound)
-    if isinstance(expected, tuple):
+    if is_tie(expected):
         assert verdict == expected
     else:
         assert {
