@@ -33,7 +33,9 @@ def _load(path: str):
 
 
 def _cmd_sim(args) -> int:
-    """Print each configuration as ``frames`` gives it; no trace is kept.
+    """Print the run as ``frames`` gives it, each piece of ``trace_lines``
+    as it comes: a configuration's line, or a whole visit of the period kept
+    after a recurrence proof.  No trace is kept.
 
     The outcome record (machine style) or halting line comes last and only
     on success: an engine error stops the stream without one.
@@ -43,8 +45,9 @@ def _cmd_sim(args) -> int:
         raise ValueError("max_steps must be >= 0")
     run = frames(system, args.max_steps)
     write = sys.stdout.write
-    for line in trace_lines(run, TraceStyle(args.style), args.ascii, system, halting_line=True):
-        write(line + "\n")
+    for piece in trace_lines(run, TraceStyle(args.style), args.ascii, system, halting_line=True):
+        write(piece)  # a visit can be long: no copy of it with the newline
+        write("\n")
     return EXIT_OK
 
 

@@ -8,10 +8,9 @@ and the parked emission is released the moment it reopens.
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from itertools import islice
 from math import lcm
-from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .model import Neuron, Rule, SnpSystem, check, validated_make
 
@@ -317,23 +316,25 @@ class Recurrence:
     ``settle`` calls ``recurs`` once per tick from its gate on, after each
     kernel that still runs has yielded the tick; a halted kernel stays as it
     stopped.  Brent's cycle detection (Brent, *BIT* 20, 1980) saves the
-    state at fixed ticks, a + 2^m - 2 for m >= 1 with a the neuron count of
-    the first kernel, from the first at or after the gate (the largest
-    neuron count) and the first call, and compares each tick with the copy
-    saved last.  The state at tick t recurs the one saved at tick s when,
-    on every kernel, countdowns and pending batches are equal and each
-    count is equal or has grown by a multiple of L while staying at T or
-    more from s to t.  L is the lcm of the neuron's guard periods (1 with
-    none); T is max(largest guard offset + 1, largest consumption).
+    state at fixed ticks, 2^m - 2 for m >= 1 (0, 2, 6, 14, ...), from the
+    first at or after the gate and the first call, and compares each tick
+    with the copy saved last.  The gate is the largest neuron count of the
+    kernels unless ``gate`` gives another.  The state at tick t recurs the
+    one saved at tick s when, on every kernel, countdowns and pending
+    batches are equal and each count is equal or has grown by a multiple of
+    L while staying at T or more from s to t.  L is the lcm of the neuron's
+    guard periods (1 with none); T is max(largest guard offset + 1, largest
+    consumption).
 
-    So every check whose first kernel runs the same system saves on one
-    schedule, and a check on that kernel alone saves at each of its ticks
-    from the neuron count on.  When any of them proves the run at t from
-    the copy saved at s, the lone check has saved the same state at s, and
+    So every check saves on one schedule, and a check on one kernel alone
+    saves at each of its ticks from that kernel's neuron count on.  When a
+    check whose gate is at least that count proves the run at t from the
+    copy saved at s, the lone check has saved the same state at s, and
     still holds it at t unless it proved the run sooner: it proves the run
-    by t.  ``co_simulate`` puts the source first, so the overlap check
+    by t.  ``co_simulate`` keeps the default gate, so the overlap check
     (``eliminate.batch_hazards``) proves the source's run by the tick at
-    which co-simulation does.
+    which co-simulation does.  ``frames`` checks from tick 0, a gate of 0:
+    it saves at every tick the lone check saves at, and proves by its tick.
 
     Why that is a proof: from T spikes on, every consumption is covered and
     no guard matches on an offset alone, so the enabled rules depend on the
@@ -351,11 +352,10 @@ class Recurrence:
     and an environment grown likewise.
     """
 
-    def __init__(self, *kernels: Kernel):
+    def __init__(self, *kernels: Kernel, gate: int | None = None):
         # per kernel: (L, T) once needed, saved state, lows since, neurons apart
         self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set()) for k in kernels]
-        self.anchor = len(kernels[0].spikes)
-        self.gate = max(len(k.spikes) for k in kernels)
+        self.gate = max(len(k.spikes) for k in kernels) if gate is None else gate
         self.saved: int | None = None  # the tick of the copy
         self.save_at: int | None = None  # the tick of the next
         self.proved: int | None = None
@@ -366,10 +366,10 @@ class Recurrence:
         the kernels watched, until their run is settled: after the halting
         item, at the stream's end (its budget), or at the first item that
         ``recurs``, whose tick ``proved`` then holds.  Checks start at the
-        gate, the tick that reaches the largest neuron count of the kernels
-        (at once for a stream past it), so a run that halts sooner pays for
-        none.  An item is checked when the caller asks for the next, after
-        the caller's own exits on it."""
+        gate (at once for a stream past it), so with the default gate a run
+        that halts before the largest neuron count pays for none.  An item
+        is checked when the caller asks for the next, after the caller's own
+        exits on it."""
         gate = self.gate
         for item in ticks:
             yield item
@@ -410,93 +410,74 @@ class Recurrence:
                 self.period = tick - self.saved
                 return True
         if self.save_at is None:  # the first save at or after the gate and this call
-            self.save_at = self.anchor
+            self.save_at = 0
             while self.save_at < max(self.gate, tick):
-                self.save_at = 2 * self.save_at - self.anchor + 2
+                self.save_at = 2 * self.save_at + 2
         if tick == self.save_at:
             self.sides = [
                 (k, bounds, k.spikes.copy(), k.countdown.copy(), k.pending.copy(), k.spikes.copy(), set())
                 for k, bounds, *_ in self.sides
             ]
-            self.saved, self.save_at = tick, 2 * tick - self.anchor + 2
+            self.saved, self.save_at = tick, 2 * tick + 2
         return False
 
 
-class GrownCounts(Sequence[int]):
-    """The spike counts of a tick that ``frames`` computes past a proof:
-    ``base``, the counts of its slot's kept frame, with the neurons at
-    indices ``grown`` holding ``values`` instead.
+class KeptPeriod(NamedTuple):
+    """The ticks of a run past its recurrence proof at t and the period P
+    that ``frames`` kept, from t + P + 1 to ``last``.
 
-    ``base`` is one tuple per slot, shared by every tick of the slot, and
-    ``grown`` one tuple per run, of the neurons whose count grows over a
-    period; the count of every other neuron is its base count on every
-    visit.  Iteration builds the counts in full.
+    ``kept`` holds the frames of ticks t + 1 to t + P as ``(tick, counts,
+    countdown, pending, environment)`` tuples, and visit v >= 1 of its slot
+    j is tick ``kept[j][0] + v * P``.  That tick has the slot's countdown
+    and pending; its counts are the slot's with each neuron ``grown[i]``
+    grown by v * ``growth[i]``, and its environment is the slot's grown by
+    v * ``env_growth``.  ``grown`` lists, in declaration order, the neurons
+    whose count grows over a period: every other count is the slot's on
+    every visit.
     """
 
-    __slots__ = ("base", "grown", "values")
-
-    def __init__(self, base: tuple[int, ...], grown: tuple[int, ...], values: tuple[int, ...]):
-        self.base, self.grown, self.values = base, grown, values
-
-    def __iter__(self) -> Iterator[int]:
-        counts = list(self.base)
-        for i, k in zip(self.grown, self.values):
-            counts[i] = k
-        return iter(counts)
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, i):
-        return [*self][i]
+    kept: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...]
+    grown: tuple[int, ...]
+    growth: tuple[int, ...]
+    env_growth: int
+    last: int
 
 
-def frames(
-    system: SnpSystem, max_steps: int
-) -> Iterator[tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]]:
-    """Every configuration of the run as ``(tick, spikes, countdown, pending,
-    environment, halted)``: the kernel's state at each tick of
-    ``Kernel.ticks``, to the first halting configuration or tick
-    ``max_steps``.
+def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
+    """The run to the first halting configuration or tick ``max_steps``:
+    every configuration the kernel computes as a frame ``(tick, spikes,
+    countdown, pending, environment, halted)``, then at most one item
+    ``(last, period)`` for the rest.
 
-    The kernel runs until ``Recurrence.settle`` settles it.  After a proof
-    at tick t with period P, it runs P more ticks, keeps their frames, and
-    stops: a later tick x is the kept frame of slot ``(x - t - 1) % P``.
-    Its countdown and pending are that slot's tuples, the same objects on
-    every tick of the slot.  Its counts are a ``GrownCounts`` on the slot's
-    base tuple: only the neurons whose count grew from tick t to t + P
-    change, each by that growth per visit, and the environment grows
-    likewise.  Such a run never halts and meets no tie after t.
+    The kernel runs until ``Recurrence.settle``, checking from tick 0,
+    settles it.  After a proof at tick t with period P, it runs P more
+    ticks, yields their frames, and stops.  Ticks from t + P + 1 to the
+    budget's ``last`` come as one ``KeptPeriod`` that holds those P frames
+    and what each visit adds to them: such a run never halts and meets no
+    tie after t.
 
-    Up to the proof's period, the counts, countdown and pending are the
-    kernel's live lists, valid until the generator is resumed.  Memory is
-    the kernel's state until a proof and one period of frames after it,
-    whatever ``max_steps``.  Raises NondeterministicChoice as
-    ``Kernel.ticks`` does.
+    A frame's counts, countdown and pending are the kernel's live lists,
+    valid until the generator is resumed.  Memory is the kernel's state
+    until a proof and one period of frames after it, whatever
+    ``max_steps``.  Raises NondeterministicChoice as ``Kernel.ticks`` does.
     """
     kernel = Kernel(system)
     spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
-    recurrence = Recurrence(kernel)
+    recurrence = Recurrence(kernel, gate=0)
     ticks = kernel.ticks(max_steps)
     for tick, environment, halted in recurrence.settle(ticks):
         yield tick, spikes, countdown, pending, environment, halted
     if recurrence.proved is None:
         return
     before, before_env = spikes.copy(), environment
-    kept = []  # per tick of the period: (counts, countdown, pending, environment)
+    kept = []
     for tick, environment, halted in islice(ticks, recurrence.period):
         yield tick, spikes, countdown, pending, environment, halted
-        kept.append((tuple(spikes), tuple(countdown), tuple(pending), environment))
-    grown = tuple(i for i, (k, b) in enumerate(zip(spikes, before)) if k != b)
-    growth = [spikes[i] - before[i] for i in grown]
-    env_growth = environment - before_env
-    # per slot: [base, this visit's grown counts, countdown, pending, environment]
-    slots = [[base, tuple(base[i] for i in grown), *rest] for base, *rest in kept]
-    for tick, slot in zip(range(tick + 1, max_steps + 1), cycle(slots)):
-        base, values, closed, parked, env = slot
-        slot[1] = values = tuple(map(add, values, growth))
-        slot[4] = env = env + env_growth
-        yield tick, GrownCounts(base, grown, values), closed, parked, env, False
+        kept.append((tick, tuple(spikes), tuple(countdown), tuple(pending), environment))
+    if tick < max_steps:
+        grown = tuple(i for i, (k, b) in enumerate(zip(spikes, before)) if k != b)
+        growth = tuple(spikes[i] - before[i] for i in grown)
+        yield max_steps, KeptPeriod(tuple(kept), grown, growth, environment - before_env, max_steps)
 
 
 def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:

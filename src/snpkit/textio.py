@@ -27,10 +27,11 @@ import functools
 import json
 import re
 from enum import Enum
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
-from .semantics import GrownCounts, Trace
+from .semantics import KeptPeriod, Trace
 
 
 class ParseError(Exception):
@@ -229,14 +230,15 @@ class TraceStyle(Enum):
 # One configuration as the renderer reads it:
 # (tick, spikes, closed, pending, environment, halted).  ``closed`` holds the
 # ticks until each neuron reopens, ``pending`` its parked batch (0 while
-# open), and ``halted`` is true only on the halting configuration.  A frame
-# whose counts are a ``GrownCounts`` has tuple ``closed`` and ``pending``,
-# shared with every other tick of its slot (see ``trace_lines``).
+# open), and ``halted`` is true only on the halting configuration.  The last
+# item of a run may instead be ``(last, period)``: the ticks a
+# ``semantics.KeptPeriod`` describes, up to ``last`` (see ``trace_lines``).
 Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
 
 
 class _Numerals(dict):
-    """Decimal text of small counts, made once; larger counts are not kept."""
+    """Decimal text of small counts, made once; larger counts, and a line
+    template's ``"%d"`` holes, go through ``str`` and are not kept."""
 
     def __missing__(self, k: int) -> str:
         return str(k)
@@ -250,20 +252,15 @@ def _json_numerals() -> tuple[Callable[[int], str], Callable[[int], str]]:
     return numerals.__getitem__, _Numerals({**numerals, 0: "null"}).__getitem__
 
 
-def _vector(spikes: Sequence[int], closed: Sequence[int], environment: int, ascii_brackets: bool) -> str:
-    left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
-    cells = [*map("{}/{}".format, spikes, closed), str(environment)]
-    return f"{left}{', '.join(cells)}{right}"
-
-
 def trace_lines(
-    frames: Iterable[Frame],
+    frames: Iterable[Frame | tuple[int, KeptPeriod]],
     style: TraceStyle,
     ascii_brackets: bool,
     system: SnpSystem | None,
     halting_line: bool = False,
 ) -> Iterator[str]:
-    """Render a run one line at a time, each as soon as its frame arrives.
+    """Render a run as text, each piece as soon as its frame arrives; joined
+    by newlines, the pieces are the run's lines.
 
     Table and machine styles start with a header when the system is given.
     Every frame gives one line; table style shows spikes/countdown pairs
@@ -272,60 +269,82 @@ def trace_lines(
     budget.  Machine style ends with an outcome record, and
     ``halting_line`` ends paper and table styles with how the run ended.
 
-    Machine style renders a frame whose counts are a ``GrownCounts`` from
-    a line template made once per slot, that is per (base, countdown,
-    pending) objects: the tick, the grown counts and the environment are
-    ``%d`` holes, and every other count and the ``"closed"`` and
-    ``"pending"`` arrays are text.  ``semantics.frames`` shares these
-    objects among all ticks of a slot of a proved period, so the memo
-    holds at most one period's templates.  Other frames, such as the
-    kernel's live state and ``format_trace``'s, are rendered in full.
+    A ``(last, period)`` item, as ``semantics.frames`` ends a proved run
+    with, gives one piece per visit of the kept period.  Each slot's line
+    is built once, in the style's own format, as a template whose tick,
+    grown counts and environment are ``%d`` holes; the slots' templates
+    joined make the visit's, filled with one ``%`` per visit, and the last
+    visit is cut at ``last``.
     """
     if style is TraceStyle.PAPER:
-        for tick, spikes, closed, _, environment, halted in frames:
-            yield f"C{tick} = {_vector(spikes, closed, environment, ascii_brackets)}"
+        left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
+
+        def line(tick: object, counts: Iterable, closed: Sequence[int], _: object, env: object) -> str:
+            return f"C{tick} = {left}{', '.join([*map('{}/{}'.format, counts, closed), str(env)])}{right}"
+
     elif style is TraceStyle.TABLE:
         pairs = system is not None and bool(system.delays)
         if system is not None:
             yield "\t".join(["step", *system.ids, "env"])
-        for tick, spikes, closed, _, environment, halted in frames:
-            cells = map("{}/{}".format, spikes, closed) if pairs else map(str, spikes)
-            yield "\t".join([f"t{tick}", *cells, str(environment)])
+
+        def line(tick: object, counts: Iterable, closed: Sequence[int], _: object, env: object) -> str:
+            cells = map("{}/{}".format, counts, closed) if pairs else map(str, counts)
+            return "\t".join([f"t{tick}", *cells, str(env)])
+
     else:
         if system is not None:
             yield json.dumps({"system": system.name, "neurons": list(system.ids)}, separators=(",", ":"))
         numeral, pending_text = _json_numerals()
 
-        def record(
-            tick: object, counts: Iterable[str], closed: Sequence[int], pending: Sequence[int], env: object
-        ) -> str:
-            """One tick's record; ``"%d"`` for ``tick`` and ``env`` makes a template."""
+        def line(tick: object, counts: Iterable, closed: Sequence[int], pending: Sequence[int], env: object) -> str:
             return (
-                f'{{"tick":{tick},"spikes":[{",".join(counts)}],"closed":[{",".join(map(numeral, closed))}],'
+                f'{{"tick":{tick},"spikes":[{",".join(map(numeral, counts))}],'
+                f'"closed":[{",".join(map(numeral, closed))}],'
                 f'"pending":[{",".join(map(pending_text, pending))}],"environment":{env}}}'
             )
 
-        # (base, closed, pending, template) per slot, keyed by identity: the
-        # entry keeps the three alive, so no other object takes their ids
-        templates: dict[tuple[int, int, int], tuple[tuple[int, ...], Sequence[int], Sequence[int], str]] = {}
-        for tick, spikes, closed, pending, environment, halted in frames:
-            if type(spikes) is GrownCounts:
-                key = id(spikes.base), id(closed), id(pending)
-                if (entry := templates.get(key)) is None:
-                    cells = [*map(numeral, spikes.base)]
-                    for i in spikes.grown:
-                        cells[i] = "%d"
-                    entry = templates[key] = spikes.base, closed, pending, record("%d", cells, closed, pending, "%d")
-                yield entry[3] % (tick, *spikes.values, environment)
-            else:
-                yield record(tick, map(numeral, spikes), closed, pending, environment)
+    for frame in frames:
+        if len(frame) == 2:
+            tick, period = frame
+            environment = yield from _visits(period, line)
+            halted = False
+        else:
+            tick, spikes, closed, pending, environment, halted = frame
+            yield line(tick, spikes, closed, pending, environment)
+    if style is TraceStyle.MACHINE:
         yield f'{{"outcome":"halted","at":{tick}}}' if halted else '{"outcome":"budget-exhausted"}'
-        return
-    if halting_line:
+    elif halting_line:
         if halted:
             yield f"halted at tick {tick}, environment {environment}"
         else:
             yield f"budget exhausted after {tick} ticks, environment {environment}"
+
+
+def _visits(period: KeptPeriod, line: Callable[..., str]) -> Iterator[str]:
+    """The lines of ``period``'s ticks, one piece per visit of its slots,
+    each slot's line made by ``line`` as a template; returns the
+    environment at the last tick."""
+    kept, grown = period.kept, period.grown
+    templates = []
+    first: list[int] = []  # visit 0's tick, grown counts and environment, slot by slot
+    for tick, counts, closed, pending, env in kept:
+        cells: list[object] = [*counts]
+        for i in grown:
+            cells[i] = "%d"
+        templates.append(line("%d", cells, closed, pending, "%d"))
+        first += (tick, *(counts[i] for i in grown), env)
+    steps = (len(kept), *period.growth, period.env_growth) * len(kept)
+    visits, cut = divmod(period.last - kept[-1][0], len(kept))
+    # each hole takes its values from an arithmetic progression over the visits
+    n = visits + (cut > 0)
+    filled = zip(*(range(a + d, a + d * (n + 1), d) if d else repeat(a, n) for a, d in zip(first, steps)))
+    visit = "\n".join(templates)
+    for values in islice(filled, visits):
+        yield visit % values
+    if cut:
+        values = next(filled)[: cut * (len(grown) + 2)]
+        yield "\n".join(templates[:cut]) % values
+    return values[-1]
 
 
 def format_trace(

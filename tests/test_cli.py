@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -41,6 +42,7 @@ from .conftest import (
     simple_systems,
     two_rule_systems,
 )
+from .test_kernel import LATE_LOOP
 
 RELAY_DOC = """\
 system relay
@@ -654,6 +656,26 @@ def test_sim_matches_format_trace_over_many_periods(tmp_path, doc, grown, style,
     argv = [str(path), "--max-steps", "2000", "--style", style.value, *(["--ascii"] if ascii_brackets else [])]
     expected = expected_sim(system, 2000, style, ascii_brackets)
     assert sim(argv) == (0, expected, "")
+
+
+@given(recurring_systems(), st.integers(2, 3))
+@example(LATE_LOOP, 2)
+@settings(max_examples=40, deadline=None)
+def test_sim_cuts_the_last_visit_at_the_budget(system, visits):
+    # past the kept period sim prints one piece per visit of it, the last
+    # cut at the budget: with the budget at every offset of the visit after
+    # ``visits`` whole ones, each style prints the reference run's lines
+    *_, (_, period) = semantics.frames(system, 10**4)
+    proof, length = period.kept[0][0] - 1, len(period.kept)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.snp"
+        path.write_text(serialize_system(system))
+        for offset in range(length):
+            steps = proof + length * (1 + visits) + offset
+            for style, ascii_brackets in STYLES:
+                argv = [str(path), "--max-steps", str(steps), "--style", style.value]
+                expected = expected_sim(system, steps, style, ascii_brackets)
+                assert sim(argv + ["--ascii"] * ascii_brackets) == (0, expected, ""), (steps, style)
 
 
 def test_table_shows_pairs_when_the_delayed_rule_never_fires(tmp_path):

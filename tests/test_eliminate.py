@@ -518,13 +518,13 @@ class TestBatchHazards:
         )
         assert batch_hazards(growing) == []
 
-    @pytest.mark.parametrize("spikes, decided", [(8194, True), (8195, False)])
+    @pytest.mark.parametrize("spikes, decided", [(8190, True), (8191, False), (8195, False)])
     def test_checks_start_at_the_neuron_count(self, spikes, decided):
         # t spends its spikes one a tick beside the loop of a and b, so the
         # run repeats from tick ``spikes`` on.  The check starts at tick 4,
-        # the neuron count, and saves the state at ticks 4 + 2^m - 2: the
-        # save at tick 8,194 proves a repeat from there by tick 8,196, and
-        # the next save, at 16,386, comes after the 10,000-tick budget
+        # the neuron count, and saves the state at ticks 2^m - 2 from 6 on:
+        # the save at tick 8,190 proves a repeat from there by tick 8,192,
+        # and the next save, at 16,382, comes after the 10,000-tick budget
         late = SnpSystem(
             (
                 Neuron("t", spikes, (forward(),)),

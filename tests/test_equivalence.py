@@ -190,9 +190,9 @@ def test_verify_is_the_rewrite_then_co_simulation():
         "O",
     )
     cases = [
-        (hazardous, 60, ("lost", "S", 4), 14),
+        (hazardous, 60, ("lost", "S", 4), 18),
         (generate(Sequential((2, 3))), 200, None, 8),
-        (generate(Iteration(3, "second")), 200, None, 13),
+        (generate(Iteration(3, "second")), 200, None, 11),
     ]
     for system, bound, event, settled in cases:
         with warnings.catch_warnings(record=True) as caught:

@@ -127,27 +127,47 @@ def test_run_matches_reference(system, budget):
     assert kernel_frames(system, budget) == run_frames(system, budget)
 
 
+def visits(period):
+    """The frames of the ticks a ``KeptPeriod`` describes, each worked out
+    on its own from the kept frame of its slot and the visit's number."""
+    kept, first = period.kept, period.kept[0][0]
+    for tick in range(kept[-1][0] + 1, period.last + 1):
+        visit, slot = divmod(tick - first, len(kept))
+        _, counts, countdown, pending, environment = kept[slot]
+        counts = list(counts)
+        for i, growth in zip(period.grown, period.growth):
+            counts[i] += visit * growth
+        yield tick, counts, list(countdown), list(pending), environment + visit * period.env_growth, False
+
+
 def streamed_frames(system, budget):
-    """What ``frames`` yields, each frame copied as it comes, then the tie
-    that stopped it, if any."""
+    """What ``frames`` yields, each frame copied as it comes and a kept
+    period's ticks spelled out, then the tie that stopped it, if any."""
     streamed = []
     try:
-        for tick, spikes, countdown, pending, environment, halted in frames(system, budget):
-            streamed.append((tick, list(spikes), list(countdown), list(pending), environment, halted))
+        for frame in frames(system, budget):
+            if len(frame) == 2:
+                last, period = frame
+                assert last == period.last == budget
+                streamed.extend(visits(period))
+            else:
+                tick, spikes, countdown, pending, environment, halted = frame
+                streamed.append((tick, list(spikes), list(countdown), list(pending), environment, halted))
     except NondeterministicChoice as tie:
         streamed.append(("tie", tie.neuron, tie.tick))
     return streamed
 
 
-def first_proof(system, budget=10**4):
-    """``(t, P)`` of the first proof of a ``Recurrence`` called on every tick
-    from the neuron count on, where ``frames`` meets it; None when the run
-    halts, ties or reaches ``budget`` first."""
+def first_proof(system, budget=10**4, gate=None):
+    """``(t, P)`` of the first proof of a ``Recurrence`` with ``gate``,
+    called on every tick from the gate on: by default the neuron count, as
+    the overlap check's, and 0 as ``frames``'; None when the run halts, ties
+    or reaches ``budget`` first."""
     kernel = Kernel(system)
-    recurrence = Recurrence(kernel)
+    recurrence = Recurrence(kernel, gate=gate)
     try:
         for tick, _, halted in kernel.ticks(budget):
-            if not halted and tick >= len(system.neurons) and recurrence.recurs(tick):
+            if not halted and tick >= recurrence.gate and recurrence.recurs(tick):
                 return tick, recurrence.period
     except NondeterministicChoice:
         pass
@@ -179,7 +199,7 @@ def test_frames_match_the_kernel_past_a_proof(system, where, data):
 
 def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
     system = parse_system((SYSTEMS_DIR / "iteration-d2.snp").read_text())
-    assert first_proof(system) == (8, 4)
+    assert first_proof(system, gate=0) == (6, 4)
     ticks, advanced = Kernel.ticks, []
 
     def counted(kernel, max_steps):
@@ -188,15 +208,18 @@ def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
             yield item
 
     monkeypatch.setattr(Kernel, "ticks", counted)
-    assert [frame[0] for frame in frames(system, 10**5)] == list(range(10**5 + 1))
-    assert advanced == list(range(13))  # to the proof at tick 8, then one period of 4
+    streamed = list(frames(system, 10**5))
+    assert [frame[0] for frame in streamed] == [*range(11), 10**5]
+    assert streamed[-1][1].last == 10**5  # the ticks from 11 on, as one kept period
+    assert advanced == list(range(11))  # to the proof at tick 6, then one period of 4
 
 
 def test_frames_match_the_kernel_over_many_periods():
-    # dense-20 recurs from tick 26 with period 4: by tick 2000 each slot of
-    # the kept period is visited about 490 times, and the counts pass 1024
+    # frames proves dense-20 recurrent at tick 34 with period 4: by tick 2000
+    # each slot of the kept period is visited about 490 times, and the counts
+    # pass 1024
     system = parse_system((Path(__file__).parent / "golden" / "dense-20.snp").read_text())
-    assert first_proof(system) == (26, 4)
+    assert first_proof(system, gate=0) == (34, 4)
     streamed, expected = streamed_frames(system, 2000), kernel_frames(system, 2000)
     assert len(streamed) == len(expected) == 2001
     fields = ("tick", "spikes", "countdown", "pending", "environment", "halted")
@@ -204,13 +227,17 @@ def test_frames_match_the_kernel_over_many_periods():
         for field, value, reference in zip(fields, got, want):
             assert value == reference, (got[0], field)
     assert max(streamed[-1][1]) > 1024
-    # past the kept period, every tick of a slot shares its slot's base
-    # counts, countdown and pending tuples
-    shared = {}
-    for tick, spikes, countdown, pending, _, _ in frames(system, 2000):
-        if tick > 26 + 4:
-            shared.setdefault((tick - 27) % 4, set()).add((id(spikes.base), id(countdown), id(pending)))
-    assert sorted(map(len, shared.values())) == [1, 1, 1, 1]
+    # past the kept period, frames yields one description of it: the kernel's
+    # frames of ticks 35 to 38 as tuples, the neurons whose counts grow and
+    # by how much per visit, the environment's growth and the last tick
+    *live, (last, period) = frames(system, 2000)
+    assert [frame[0] for frame in live] == list(range(39)) and last == 2000
+    kept = [(tick, *map(tuple, lists), env) for tick, *lists, env, _ in expected[35:39]]
+    assert period.kept == tuple(kept)
+    growth = [now - then for now, then in zip(expected[38][1], expected[34][1])]
+    assert period.grown == tuple(i for i, g in enumerate(growth) if g) and len(period.grown) == 10
+    assert period.growth == tuple(g for g in growth if g)
+    assert period.env_growth == expected[38][4] - expected[34][4]
 
 
 def machine_lines(frames):
@@ -218,8 +245,8 @@ def machine_lines(frames):
     them, if any."""
     lines = []
     try:
-        for line in trace_lines(frames, TraceStyle.MACHINE, False, None):
-            lines.append(line)
+        for piece in trace_lines(frames, TraceStyle.MACHINE, False, None):
+            lines.extend(piece.split("\n"))  # a visit of a kept period is one piece
     except NondeterministicChoice as tie:
         lines.append(("tie", tie.neuron, tie.tick))
     return lines
@@ -293,19 +320,24 @@ def test_a_check_from_a_gate_proves_a_recurrence_by_proved_by(system):
 
 
 @pytest.mark.parametrize(
-    "idle, start, saves",
-    [(0, 0, [3, 5, 9, 17, 33, 65]), (10, 0, [17, 33, 65]), (0, 20, [33, 65])],
-    ids=["alone", "gated-by-a-larger-kernel", "first-called-late"],
+    "idle, start, gate, saves",
+    [
+        (0, 0, None, [6, 14, 30, 62]),
+        (10, 0, None, [14, 30, 62]),
+        (0, 20, None, [30, 62]),
+        (0, 0, 0, [0, 2, 6, 14, 30, 62]),
+    ],
+    ids=["alone", "gated-by-a-larger-kernel", "first-called-late", "from-tick-0"],
 )
-def test_every_check_saves_on_the_schedule_of_its_first_kernel(idle, start, saves):
-    # saves come at the first kernel's neuron count plus 2^m - 2, from the
-    # gate (the largest neuron count) or the first call on, so every check
-    # on the loop proves it from the same save at tick 65, one period later
+def test_every_check_saves_on_the_schedule_of_its_first_kernel(idle, start, gate, saves):
+    # saves come at 2^m - 2, from the gate (the largest neuron count unless
+    # given, 0 for frames) or the first call on, so every check on the loop
+    # proves it from the same save at tick 62, one period later
     kernel = Kernel(LATE_LOOP)
     others = [Kernel(SnpSystem(tuple(Neuron(f"i{k}") for k in range(idle)), frozenset(), "i0"))] if idle else []
     for other in others:
         next(other.ticks(0))  # halted at tick 0, as co-simulation leaves it
-    recurrence = Recurrence(kernel, *others)
+    recurrence = Recurrence(kernel, *others, gate=gate)
     saved = []
     for tick, _, _ in kernel.ticks(200):
         if tick >= start:
@@ -313,7 +345,7 @@ def test_every_check_saves_on_the_schedule_of_its_first_kernel(idle, start, save
                 break
             if recurrence.saved == tick:
                 saved.append(tick)
-    assert (saved, tick, recurrence.period) == (saves, 67, 2)
+    assert (saved, tick, recurrence.period) == (saves, 64, 2)
 
 
 def period_and_floor(rules):
@@ -340,13 +372,14 @@ def related(configs, marks, s, t):
     return True
 
 
-def save_schedule_bound(a, onset, period):
-    """The tick by which a check that saves at a + 2^m - 2 proves a run whose
-    every tick from ``onset`` on recurs the tick ``period`` earlier."""
+def save_schedule_bound(gate, onset, period):
+    """The tick by which a check that saves at 2^m - 2 from ``gate`` on
+    proves a run whose every tick from ``onset`` on recurs the tick
+    ``period`` earlier."""
     m = 1
-    while a + 2**m - 2 < onset or 2**m < period:
+    while 2**m - 2 < max(gate, onset) or 2**m < period:
         m += 1
-    return a + 2**m - 2 + period
+    return 2**m - 2 + period
 
 
 @given(recurring_systems())
@@ -360,25 +393,28 @@ def test_each_proof_comes_by_the_bound_of_the_save_schedule(system):
     count that grows keeps growing by the same multiple of L, and one that
     stayed at T or more from s to t stays there.
 
-    A check called on every tick from the neuron count a saves at
-    S_m = a + 2^m - 2 for m >= 1 and compares ticks S_m + 1 to
-    S_(m+1) = S_m + 2^m with the copy of S_m.  Take the least m with
-    S_m >= s and 2^m >= P: tick S_m + P recurs S_m and falls in that window,
-    so the proof comes at S_m + P or sooner.  The onset and period come from
-    the run, not the draw, since a fan-out neuron's count must first reach
-    its floor.  The pair at the proof itself gives exactly the proof's tick,
-    so a schedule that saves later, or whose windows grow faster, misses the
-    bound of some pair that the relation meets before its save."""
-    proof, _ = first_proof(system)
-    configs = run(system, proof).configurations
+    A check with gate g, called on every tick from g, saves at
+    S_m = 2^m - 2 for the m >= 1 with S_m >= g, and compares ticks S_m + 1
+    to S_(m+1) = S_m + 2^m with the copy of S_m.  Take the least m with
+    S_m >= max(s, g) and 2^m >= P: tick S_m + P recurs S_m and falls in that
+    window, so the proof comes at S_m + P or sooner.  This holds for
+    ``frames``' gate, 0, and for the overlap check's, the neuron count.  The
+    onset and period come from the run, not the draw, since a fan-out
+    neuron's count must first reach its floor.  The pair at the proof itself
+    gives exactly the proof's tick, so a schedule that saves later, or whose
+    windows grow faster, misses the bound of some pair that the relation
+    meets before its save."""
     marks = [period_and_floor(neuron.rules) for neuron in system.neurons]
-    bound = min(
-        save_schedule_bound(len(system.neurons), s, t - s)
-        for t in range(1, proof + 1)
-        for s in range(t)
-        if related(configs, marks, s, t)
-    )
-    assert proof <= bound
+    for gate in (0, len(system.neurons)):
+        proof, _ = first_proof(system, gate=gate)
+        configs = run(system, proof).configurations
+        bound = min(
+            save_schedule_bound(gate, s, t - s)
+            for t in range(1, proof + 1)
+            for s in range(t)
+            if related(configs, marks, s, t)
+        )
+        assert proof <= bound, gate
 
 
 # n0 loops with n1 through a delayed rule that four one-shot neurons feed
