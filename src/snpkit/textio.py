@@ -27,7 +27,6 @@ import functools
 import json
 import re
 from enum import Enum
-from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
@@ -237,18 +236,29 @@ Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
 
 
 class _Numerals(dict):
-    """Decimal text of small counts, made once; larger counts, and a line
-    template's ``"%d"`` holes, go through ``str`` and are not kept."""
+    """Decimal text of the counts it holds; other counts, and the ``"%d"``
+    holes of a slot's template, go through ``str`` and are not kept."""
 
     def __missing__(self, k: int) -> str:
         return str(k)
 
 
 @functools.cache
+def _numerals() -> tuple[str, ...]:
+    """The decimal texts of 0 to 4095, built at the first render that needs
+    them, not at import, and kept for the process: about 0.25 MB.  The
+    holes of a kept period take their texts from it, each hole a chunk of
+    visits at a time with one stride slice (``_visits``)."""
+    return tuple(map(str, range(4096)))
+
+
+@functools.cache
 def _json_numerals() -> tuple[Callable[[int], str], Callable[[int], str]]:
-    """JSON text of a count, and of a parked batch (null while open); built
-    at the first machine-style render, not at import."""
-    numerals = _Numerals((k, str(k)) for k in range(1024))
+    """JSON text of a count, and of a parked batch (null while open), for
+    the frames before a proof.  Both hold the first 1024 texts of
+    ``_numerals``, which cover most counts there: over the whole table,
+    the two dicts would take about 0.3 MB more."""
+    numerals = _Numerals(enumerate(_numerals()[:1024]))
     return numerals.__getitem__, _Numerals({**numerals, 0: "null"}).__getitem__
 
 
@@ -272,9 +282,11 @@ def trace_lines(
     A ``(last, period)`` item, as ``semantics.frames`` ends a proved run
     with, gives one piece per visit of the kept period.  Each slot's line
     is built once, in the style's own format, as a template whose tick,
-    grown counts and environment are ``%d`` holes; the slots' templates
-    joined make the visit's, filled with one ``%`` per visit, and the last
-    visit is cut at ``last``.
+    grown counts and environment are holes.  The slots' templates are
+    joined and split at the holes once, and each visit's piece is one join
+    of those literals with its holes' decimal texts, which come a chunk of
+    visits at a time as stride slices of a table of numerals
+    (``_visits``).  The last visit is cut at ``last``.
     """
     if style is TraceStyle.PAPER:
         left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
@@ -320,31 +332,75 @@ def trace_lines(
             yield f"budget exhausted after {tick} ticks, environment {environment}"
 
 
+_CHUNK_VISITS = 32  # visits whose hole texts are made at once, at most
+_CHUNK_TEXTS = 1 << 16  # hole texts made at once, at most, unless a visit has more
+
+
 def _visits(period: KeptPeriod, line: Callable[..., str]) -> Iterator[str]:
-    """The lines of ``period``'s ticks, one piece per visit of its slots,
-    each slot's line made by ``line`` as a template; returns the
-    environment at the last tick."""
-    kept, grown = period.kept, period.grown
-    templates = []
-    first: list[int] = []  # visit 0's tick, grown counts and environment, slot by slot
+    """The lines of ``period``'s ticks, one piece per visit of its slots;
+    returns the environment at the last tick.
+
+    Each slot's line is made by ``line`` once, as a template with a ``%d``
+    hole for its tick, grown counts and environment.  The joined templates
+    are split at the holes once, and a hole that does not grow (the
+    environment, when it stays put) is folded into the literal text around
+    it.  Every other hole takes the values of an arithmetic progression over
+    the visits.  For a chunk of visits at a time, each such hole's texts are
+    one stride slice of ``_numerals``, or, when its values pass the table's
+    end, ``map(str, ...)`` over them for that hole alone.  A chunk is at
+    most ``_CHUNK_VISITS`` visits and ``_CHUNK_TEXTS`` texts, or one visit
+    if that has more, so memory does not grow with ``last``.  A visit's
+    text is then one join of the literals and its texts, and the last visit
+    is cut at ``last``.
+    """
+    kept, grown, growth, env_growth = period.kept, period.grown, period.growth, period.env_growth
+    size = len(kept)
+    templates, firsts, steps = [], [], []
     for tick, counts, closed, pending, env in kept:
-        cells: list[object] = [*counts]
+        shown: list[object] = [*counts]
         for i in grown:
-            cells[i] = "%d"
-        templates.append(line("%d", cells, closed, pending, "%d"))
-        first += (tick, *(counts[i] for i in grown), env)
-    steps = (len(kept), *period.growth, period.env_growth) * len(kept)
-    visits, cut = divmod(period.last - kept[-1][0], len(kept))
-    # each hole takes its values from an arithmetic progression over the visits
-    n = visits + (cut > 0)
-    filled = zip(*(range(a + d, a + d * (n + 1), d) if d else repeat(a, n) for a, d in zip(first, steps)))
-    visit = "\n".join(templates)
-    for values in islice(filled, visits):
-        yield visit % values
+            shown[i] = "%d"
+        templates.append(line("%d", shown, closed, pending, "%d"))
+        firsts += (tick, *(counts[i] for i in grown), env)
+        steps += (size, *growth, env_growth)
+    literals = "\n".join(templates).split("%d")
+    del templates
+    # literals and growing holes alternate in pieces; a hole's value on
+    # visit 1 is its start, and it grows by its stride a visit
+    pieces, starts, strides = [literals[0]], [], []
+    distinct: dict[str, str] = {}  # one object per distinct literal
+    for first, step, literal in zip(firsts, steps, literals[1:]):
+        if step:
+            pieces += (None, distinct.setdefault(literal, literal))
+            starts.append(first + step)
+            strides.append(step)
+        else:
+            pieces[-1] += str(first) + literal
+    del literals, firsts, steps, distinct
+    visits, cut = divmod(period.last - kept[-1][0], size)
+    numerals = _numerals()
+    end = len(numerals)
+    chunk = max(1, min(_CHUNK_VISITS, _CHUNK_TEXTS // len(strides)))
+    for lo in range(0, visits, chunk):
+        n = min(chunk, visits - lo)
+        stops = [start + stride * n for start, stride in zip(starts, strides)]
+        texts: list[str] = []  # hole by hole, the texts of visits lo + 1 to lo + n
+        for a, b, d in zip(starts, stops, strides):
+            texts += numerals[a:b:d] if b - d < end else map(str, range(a, b, d))
+        for visit in range(n):
+            pieces[1::2] = texts[visit::n]
+            yield "".join(pieces)
+        starts = stops
     if cut:
-        values = next(filled)[: cut * (len(grown) + 2)]
-        yield "\n".join(templates[:cut]) % values
-    return values[-1]
+        # each slot has a tick hole, a hole per grown count, and the
+        # environment's when it grows
+        holes = cut * (1 + len(grown) + bool(env_growth))
+        pieces = pieces[: 2 * holes + 1]
+        pieces[1::2] = map(str, starts[:holes])
+        pieces[-1] = pieces[-1].split("\n", 1)[0]
+        yield "".join(pieces)
+    visit, slot = (visits + 1, cut - 1) if cut else (visits, size - 1)
+    return kept[slot][4] + visit * env_growth
 
 
 def format_trace(

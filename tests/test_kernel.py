@@ -183,8 +183,9 @@ def first_proof(system, budget=10**4, gate=None):
 def test_frames_match_the_kernel_past_a_proof(system, where, data):
     # the frames computed from one recorded period equal the kernel's, at
     # the budget of the proof itself, inside the period and far past it; a
-    # halt or a tie before any proof ends both streams alike
-    proof = first_proof(system)
+    # halt or a tie before any proof ends both streams alike.  frames checks
+    # from tick 0, so the proof and period aimed at are those of gate 0
+    proof = first_proof(system, gate=0)
     if proof is None or where == "any":
         budget = data.draw(st.integers(0, 300), label="budget")
     else:
@@ -257,7 +258,8 @@ def machine_lines(frames):
 def test_machine_lines_of_frames_match_the_kernel_far_past_a_proof(system, visits, data):
     # the slot templates of the computed frames print what rendering the
     # kernel's own lists prints, over many visits to each slot of the period
-    proof = first_proof(system)
+    # that frames keeps, proved with its gate of 0
+    proof = first_proof(system, gate=0)
     if proof is None:
         budget = data.draw(st.integers(0, 300), label="budget")
     else:
