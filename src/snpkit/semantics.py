@@ -200,10 +200,14 @@ class Kernel:
 
     A tick touches only the closed neurons and the open neurons whose spike
     count changed since they were last checked, which ``touched`` holds
-    while a configuration is yielded; every other open neuron was found to
-    have no enabled rule at the count it still holds.  The same check
-    decides halting: a configuration halts when no neuron is closed and no
-    checked neuron has an enabled rule.
+    while a configuration is yielded, as the list of closed neurons and the
+    set of open ones to check; every other open neuron was found to have no
+    enabled rule at the count it still holds.  The same check decides
+    halting: a configuration halts when no neuron is closed and no checked
+    neuron has an enabled rule.  Every neuron whose state changed on the
+    way to a configuration is touched at it.  ``fired`` holds the
+    ``(neuron index, rule)`` pairs that fired on the way to it, each also
+    touched: only a firing lowers a count.
 
     A malformed system is refused with ValidationError when the kernel is
     built, so a tick trusts every rule it fires.
@@ -232,8 +236,9 @@ class Kernel:
         for every configuration from tick 0.
 
         The last item is the first halting configuration (``halted`` true) or
-        the one at tick ``max_steps``.  The state lists and ``touched`` hold
-        the yielded configuration until the generator is resumed.
+        the one at tick ``max_steps``.  The state lists, ``touched`` and
+        ``fired`` hold the yielded configuration until the generator is
+        resumed.
 
         Raises NondeterministicChoice, like ``step``, when a tick to be
         computed would start with several rules enabled in one neuron.
@@ -243,10 +248,11 @@ class Kernel:
         event = self.event
         closed: list[int] = []
         dirty = set(range(len(spikes)))  # open neurons to check
+        firing: list[tuple[int, Rule]] = []
         environment = 0
         tick = 0
         while True:
-            self.touched = closed, dirty
+            self.touched, self.fired = (closed, dirty), firing
             firing = []
             ties = []
             for i in dirty:
@@ -350,16 +356,41 @@ class Recurrence:
     x >= t then holds, on every kernel, the counts of tick x - period grown
     by those of t less those of s, the same countdowns and pending batches,
     and an environment grown likewise.
+
+    A check costs at most the neurons touched since they were last
+    compared, and on most ticks less.  Each kernel keeps the neurons found
+    apart from the copy when last compared, the lowest count of each neuron
+    since s, and the neurons touched since they were last compared.  An
+    untouched neuron holds the state, and so the relation to the copy, it
+    held when last compared.  So a kernel is apart, without a comparison,
+    when:
+
+    - its count of closed neurons differs from the copy's: a neuron is
+      closed exactly while its countdown is not 0, so some countdown
+      differs; or
+    - more neurons were apart than have been touched since they were last
+      compared: one of them is untouched, so still apart.
+
+    On such a tick, and on every kernel once one is apart, a kernel only
+    lowers the lows of the neurons that fired to reach the tick
+    (``Kernel.fired``), since only a firing lowers a count, and compares
+    the neurons touched meanwhile at the next tick that passes both tests.
+
+    ``checked`` counts the calls to ``recurs`` and ``compared`` the neurons
+    compared with a copy, summed over the kernels.
     """
 
     def __init__(self, *kernels: Kernel, gate: int | None = None):
-        # per kernel: (L, T) once needed, saved state, lows since, neurons apart
-        self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set()) for k in kernels]
+        # per kernel: (L, T) once needed, saved state, lows since, neurons
+        # apart, neurons touched since last compared, closed neurons saved
+        self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set(), set(), 0) for k in kernels]
         self.gate = max(len(k.spikes) for k in kernels) if gate is None else gate
         self.saved: int | None = None  # the tick of the copy
         self.save_at: int | None = None  # the tick of the next
         self.proved: int | None = None
         self.period: int | None = None
+        self.checked = 0
+        self.compared = 0
 
     def settle(self, ticks: Iterator[tuple[int, int, bool]]) -> Iterator[tuple[int, int, bool]]:
         """Re-yield ``ticks``, the ``(tick, environment, halted)`` stream of
@@ -380,30 +411,44 @@ class Recurrence:
                 return
 
     def recurs(self, tick: int) -> bool:
-        """Whether the state at ``tick`` recurs the copy saved last, at the
-        cost of the touched neurons: only those can change how they relate.
-        Called on every tick from the first call on."""
+        """Whether the state at ``tick`` recurs the copy saved last.  A
+        kernel costs the touched neurons added to a set and the lows of the
+        fired ones, and compares its neurons touched since they were last
+        compared only when neither test of the class docstring finds it
+        apart.  Called on every tick from the first call on."""
+        self.checked += 1
         if self.saved is not None:
             related = True
-            for kernel, bounds, spikes, countdown, pending, low, apart in self.sides:
-                now, closing, parked = kernel.spikes, kernel.countdown, kernel.pending
-                for touched in kernel.touched:
-                    for i in touched:
-                        k = now[i]
-                        if k < low[i]:
-                            low[i] = k
-                        if closing[i] != countdown[i] or parked[i] != pending[i] or k < spikes[i]:
+            for kernel, bounds, spikes, countdown, pending, low, apart, unseen, shut in self.sides:
+                closed, dirty = kernel.touched
+                unseen.update(closed)
+                unseen.update(dirty)
+                now = kernel.spikes
+                if not related or len(closed) != shut or len(apart) > len(unseen):
+                    for i, _ in kernel.fired:
+                        if now[i] < low[i]:
+                            low[i] = now[i]
+                    related = False
+                    continue
+                closing, parked = kernel.countdown, kernel.pending
+                for i in unseen:
+                    k = now[i]
+                    if k < low[i]:
+                        low[i] = k
+                    if closing[i] != countdown[i] or parked[i] != pending[i] or k < spikes[i]:
+                        apart.add(i)
+                    elif k == spikes[i]:
+                        apart.discard(i)
+                    else:
+                        period, floor = bounds.get(i) or bounds.setdefault(
+                            i, _period_and_floor(kernel.rules[i])
+                        )
+                        if (k - spikes[i]) % period or low[i] < floor:
                             apart.add(i)
-                        elif k == spikes[i]:
-                            apart.discard(i)
                         else:
-                            period, floor = bounds.get(i) or bounds.setdefault(
-                                i, _period_and_floor(kernel.rules[i])
-                            )
-                            if (k - spikes[i]) % period or low[i] < floor:
-                                apart.add(i)
-                            else:
-                                apart.discard(i)
+                            apart.discard(i)
+                self.compared += len(unseen)
+                unseen.clear()
                 if apart:
                     related = False
             if related:
@@ -415,7 +460,17 @@ class Recurrence:
                 self.save_at = 2 * self.save_at + 2
         if tick == self.save_at:
             self.sides = [
-                (k, bounds, k.spikes.copy(), k.countdown.copy(), k.pending.copy(), k.spikes.copy(), set())
+                (
+                    k,
+                    bounds,
+                    k.spikes.copy(),
+                    k.countdown.copy(),
+                    k.pending.copy(),
+                    k.spikes.copy(),
+                    set(),
+                    set(),
+                    len(k.touched[0]),
+                )
                 for k, bounds, *_ in self.sides
             ]
             self.saved, self.save_at = tick, 2 * tick + 2

@@ -236,8 +236,8 @@ Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
 
 
 class _Numerals(dict):
-    """Decimal text of the counts it holds; other counts, and the ``"%d"``
-    holes of a slot's template, go through ``str`` and are not kept."""
+    """Decimal text of the counts it holds, and ``"%d"`` for the holes of a
+    slot's template; other counts go through ``str`` and are not kept."""
 
     def __missing__(self, k: int) -> str:
         return str(k)
@@ -255,10 +255,12 @@ def _numerals() -> tuple[str, ...]:
 @functools.cache
 def _json_numerals() -> tuple[Callable[[int], str], Callable[[int], str]]:
     """JSON text of a count, and of a parked batch (null while open), for
-    the frames before a proof.  Both hold the first 1024 texts of
-    ``_numerals``, which cover most counts there: over the whole table,
-    the two dicts would take about 0.3 MB more."""
+    the frames before a proof and the templates of a kept period.  Both
+    hold the first 1024 texts of ``_numerals``, which cover most counts
+    there: over the whole table, the two dicts would take about 0.3 MB
+    more.  A template's holes are ``"%d"``, which maps to itself."""
     numerals = _Numerals(enumerate(_numerals()[:1024]))
+    numerals["%d"] = "%d"
     return numerals.__getitem__, _Numerals({**numerals, 0: "null"}).__getitem__
 
 

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from snpkit import (
@@ -21,6 +22,30 @@ from snpkit import (
 )
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
+
+# CI runs tier-1 with ``--hypothesis-profile=ci``: every property draws
+# CI_EXAMPLES times its examples, with no deadline.  A property's own
+# ``@settings(max_examples=...)`` overrides any profile, so the collection
+# hook below scales it.
+CI_EXAMPLES = 5
+settings.register_profile("ci", max_examples=CI_EXAMPLES * settings().max_examples, deadline=None)
+
+
+def pytest_collection_modifyitems(items):
+    if settings.get_current_profile_name() != "ci":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # a method's function
+        if not getattr(test, "is_hypothesis_test", False) or test in scaled:
+            continue  # a parametrized property is one function for all its items
+        scaled.add(test)
+        own = test._hypothesis_internal_use_settings  # where @given reads it
+        if own is not settings.default:  # a property without @settings has the profile's
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=CI_EXAMPLES * own.max_examples, deadline=None
+            )
 
 
 @pytest.fixture

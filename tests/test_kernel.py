@@ -29,6 +29,7 @@ from snpkit import (
     step,
     verify,
 )
+from snpkit import semantics
 from snpkit.semantics import Kernel, Recurrence, frames, initial_configuration
 from snpkit.textio import TraceStyle, trace_lines
 
@@ -417,6 +418,134 @@ def test_each_proof_comes_by_the_bound_of_the_save_schedule(system):
             if related(configs, marks, s, t)
         )
         assert proof <= bound, gate
+
+
+# n1 holds 2 spikes at the save at tick 14 and fires its delayed rule on the
+# way to tick 15, whose count of closed neurons differs from the copy's, so
+# it falls to 1, below its floor of 2, on a tick the check does not compare;
+# at tick 18 it holds 3, and only that low keeps the tick from recurring 14
+DIP_WHILE_CLOSED = parse_system(
+    "system dip-while-closed\nneuron n0\nrule n0: a^2(a^2)* / a^2 -> a ; 1\n"
+    "neuron n1\nrule n1: a+ / a -> a ; 1\nneuron n2 spikes=1\nrule n2: a+ / a -> a ; 1\n"
+    "syn n0 -> n1\nsyn n2 -> n1\nsyn n1 -> n2\nsyn n2 -> n0\nout n0\n"
+)
+
+
+def reference_configurations(system, budget):
+    """``run``'s configurations to ``budget``, or to the tick before a tie."""
+    try:
+        return run(system, budget).configurations
+    except NondeterministicChoice as tie:
+        return run(system, tie.tick - 1).configurations
+
+
+def lock_step(kernels, budget):
+    """``(tick, halted)`` of kernels advanced as co-simulation advances a
+    pair: each kernel that still runs yields the tick, a halted one stays as
+    it stopped, and ``halted`` is true once every kernel has halted."""
+    streams = [kernel.ticks(budget) for kernel in kernels]
+    stopped = [False] * len(kernels)
+    for tick in range(budget + 1):
+        for j, stream in enumerate(streams):
+            if not stopped[j]:
+                stopped[j] = next(stream)[2]
+        yield tick, all(stopped)
+
+
+def checked_against_the_relation(systems, gate, budget=300):
+    """Call ``recurs`` on kernels of ``systems`` in lock step on every tick
+    from the gate until a proof, a halt of all or a tie, as ``settle``
+    does, and assert that each answer is ``related`` on every reference run
+    against the last save.  The saves are derived here: the ticks 2^m - 2
+    from the gate on, where the gate is the largest neuron count unless
+    ``gate`` gives another.  Returns the tick of the proof, or None."""
+    kernels = [Kernel(system) for system in systems]
+    recurrence = Recurrence(*kernels, gate=gate)
+    marks = [[period_and_floor(neuron.rules) for neuron in system.neurons] for system in systems]
+    runs = []  # a halted run stays at its last configuration
+    for system in systems:
+        configs = reference_configurations(system, budget)
+        runs.append(configs + (configs[-1],) * (budget + 1 - len(configs)))
+    start = max(len(system.neurons) for system in systems) if gate is None else gate
+    schedule = {2**m - 2 for m in range(1, budget.bit_length() + 2)}
+    saved = None
+    try:
+        for tick, halted in lock_step(kernels, budget):
+            if halted:
+                return None
+            if tick < start:
+                continue
+            expected = saved is not None and all(
+                related(configs, neurons, saved, tick) for configs, neurons in zip(runs, marks)
+            )
+            assert recurrence.recurs(tick) is expected, (tick, saved)
+            if expected:
+                assert recurrence.period == tick - saved
+                return tick
+            if tick in schedule:
+                saved = tick
+            assert recurrence.saved == saved
+    except NondeterministicChoice:
+        pass
+    return None
+
+
+# every strategy of conftest, and a run whose counts shrink before it recurs
+oracle_systems = st.one_of(
+    simple_systems(),
+    two_rule_systems(),
+    periodic_systems(),
+    fan_out_systems(),
+    recurring_systems(),
+    recurring_systems(events=False),
+    mostly_recurring(st.one_of(systems, periodic_systems(), fan_out_systems())),
+    st.just(LATE_LOOP),
+)
+
+
+@given(oracle_systems, st.sampled_from([0, None]))
+@example(LATE_LOOP, 0)
+@example(LATE_LOOP, None)
+@example(DIP_WHILE_CLOSED, 0)
+@settings(max_examples=300, deadline=None)
+def test_recurs_answers_the_relation_on_one_kernel(system, gate):
+    # frames' check (gate 0) and the overlap check's (the neuron count):
+    # whatever a tick skips or defers, its answer is the relation's
+    checked_against_the_relation([system], gate)
+
+
+@given(oracle_systems, oracle_systems, st.sampled_from([0, None]))
+@settings(max_examples=200, deadline=None)
+def test_recurs_answers_the_relation_on_a_co_simulated_pair(source, target, gate):
+    # a pair is related only where both kernels are, and a halted kernel
+    # is compared as it stopped
+    checked_against_the_relation([source, target], gate)
+
+
+@pytest.mark.parametrize(
+    "path, proof, checked, compared",
+    [
+        (SYSTEMS_DIR / "iteration-d2.snp", 6, 7, 5),
+        (Path(__file__).parent / "golden" / "dense-20.snp", 34, 35, 63),
+    ],
+    ids=["iteration-d2", "dense-20"],
+)
+def test_frames_count_the_checks_and_the_neurons_compared(monkeypatch, path, proof, checked, compared):
+    # frames checks every tick from 0 to its proof, and compares a neuron
+    # only at a tick whose closed count matches the copy's and whose
+    # touched neurons could cover every neuron apart
+    made = []
+
+    class Counted(Recurrence):
+        def __init__(self, *kernels, gate=None):
+            super().__init__(*kernels, gate=gate)
+            made.append(self)
+
+    monkeypatch.setattr(semantics, "Recurrence", Counted)
+    for _ in frames(parse_system(path.read_text()), 10**4):
+        pass
+    (recurrence,) = made
+    assert (recurrence.proved, recurrence.checked, recurrence.compared) == (proof, checked, compared)
 
 
 # n0 loops with n1 through a delayed rule that four one-shot neurons feed
