@@ -411,11 +411,11 @@ class Recurrence:
                 return
 
     def recurs(self, tick: int) -> bool:
-        """Whether the state at ``tick`` recurs the copy saved last.  A
-        kernel costs the touched neurons added to a set and the lows of the
-        fired ones, and compares its neurons touched since they were last
-        compared only when neither test of the class docstring finds it
-        apart.  Called on every tick from the first call on."""
+        """Whether the state at ``tick`` recurs the copy saved last.  Each
+        kernel adds its touched neurons to its set; it compares the set's
+        neurons with the copy only when neither test of the class docstring
+        finds it apart, and otherwise lowers the lows of the neurons that
+        fired.  Called on every tick from the first call on."""
         self.checked += 1
         if self.saved is not None:
             related = True

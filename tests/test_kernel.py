@@ -458,7 +458,7 @@ def checked_against_the_relation(systems, gate, budget=300):
     does, and assert that each answer is ``related`` on every reference run
     against the last save.  The saves are derived here: the ticks 2^m - 2
     from the gate on, where the gate is the largest neuron count unless
-    ``gate`` gives another.  Returns the tick of the proof, or None."""
+    ``gate`` gives another."""
     kernels = [Kernel(system) for system in systems]
     recurrence = Recurrence(*kernels, gate=gate)
     marks = [[period_and_floor(neuron.rules) for neuron in system.neurons] for system in systems]
@@ -472,7 +472,7 @@ def checked_against_the_relation(systems, gate, budget=300):
     try:
         for tick, halted in lock_step(kernels, budget):
             if halted:
-                return None
+                return
             if tick < start:
                 continue
             expected = saved is not None and all(
@@ -481,13 +481,12 @@ def checked_against_the_relation(systems, gate, budget=300):
             assert recurrence.recurs(tick) is expected, (tick, saved)
             if expected:
                 assert recurrence.period == tick - saved
-                return tick
+                return
             if tick in schedule:
                 saved = tick
             assert recurrence.saved == saved
     except NondeterministicChoice:
         pass
-    return None
 
 
 # every strategy of conftest, and a run whose counts shrink before it recurs
