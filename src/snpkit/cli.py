@@ -34,8 +34,8 @@ def _load(path: str):
 
 def _cmd_sim(args) -> int:
     """Print the run as ``frames`` gives it, each piece of ``trace_lines``
-    as it comes: a configuration's line, or a whole visit of the period kept
-    after a recurrence proof.  No trace is kept.
+    as it comes: a configuration's line, or a visit of the period kept after
+    a recurrence proof, the last cut at the budget.  No trace is kept.
 
     The outcome record (machine style) or halting line comes last and only
     on success: an engine error stops the stream without one.

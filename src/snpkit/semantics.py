@@ -233,12 +233,12 @@ class Kernel:
 
     def ticks(self, max_steps: int) -> Iterator[tuple[int, int, bool]]:
         """Advance the state in place, yielding ``(tick, environment, halted)``
-        for every configuration from tick 0.
+        once for each configuration from tick 0.
 
         The last item is the first halting configuration (``halted`` true) or
-        the one at tick ``max_steps``.  The state lists, ``touched`` and
-        ``fired`` hold the yielded configuration until the generator is
-        resumed.
+        the one at tick ``max_steps``, whichever comes first.  The state
+        lists, ``touched`` and ``fired`` hold the yielded configuration until
+        the generator is resumed.
 
         Raises NondeterministicChoice, like ``step``, when a tick to be
         computed would start with several rules enabled in one neuron.
@@ -273,10 +273,9 @@ class Kernel:
                 if chosen is not None:
                     firing.append((i, chosen))
             halted = not closed and not firing
+            yield tick, environment, halted
             if halted or tick >= max_steps:
-                yield tick, environment, halted
                 return
-            yield tick, environment, False
             if ties:  # ``step`` meets the lowest tied neuron first
                 raise NondeterministicChoice(ids[min(ties)], tick + 1, self.label)
 
@@ -322,10 +321,10 @@ class Recurrence:
     ``settle`` calls ``recurs`` once per tick from its gate on, after each
     kernel that still runs has yielded the tick; a halted kernel stays as it
     stopped.  Brent's cycle detection (Brent, *BIT* 20, 1980) saves the
-    state at fixed ticks, 2^m - 2 for m >= 1 (0, 2, 6, 14, ...), from the
-    first at or after the gate and the first call, and compares each tick
-    with the copy saved last.  The gate is the largest neuron count of the
-    kernels unless ``gate`` gives another.  The state at tick t recurs the
+    state at each tick it checks at or after the gate that is 2^m - 2 for
+    some m >= 1 (0, 2, 6, 14, ...), and compares each tick with the copy
+    saved last.  The gate is the largest neuron count of the kernels
+    unless ``gate`` gives another.  The state at tick t recurs the
     one saved at tick s when, on every kernel, countdowns and pending
     batches are equal and each count is equal or has grown by a multiple of
     L while staying at T or more from s to t.  L is the lcm of the neuron's
@@ -352,10 +351,10 @@ class Recurrence:
     halted at t had halted by s, one running never halts, and no tie or
     event comes after t that did not come between s and t.
 
-    Once ``recurs`` has returned True, ``period`` is t - s.  Every tick
-    x >= t then holds, on every kernel, the counts of tick x - period grown
-    by those of t less those of s, the same countdowns and pending batches,
-    and an environment grown likewise.
+    Once ``recurs`` has returned True, ``proved`` is t and ``period`` is
+    t - s.  Every tick x >= t then holds, on every kernel, the counts of
+    tick x - period grown by those of t less those of s, the same
+    countdowns and pending batches, and an environment grown likewise.
 
     A check costs at most the neurons touched since they were last
     compared, and on most ticks less.  Each kernel keeps the neurons found
@@ -371,10 +370,11 @@ class Recurrence:
     - more neurons were apart than have been touched since they were last
       compared: one of them is untouched, so still apart.
 
-    On such a tick, and on every kernel once one is apart, a kernel only
-    lowers the lows of the neurons that fired to reach the tick
-    (``Kernel.fired``), since only a firing lowers a count, and compares
-    the neurons touched meanwhile at the next tick that passes both tests.
+    On such a tick, and on every kernel once one is apart, a kernel
+    compares nothing, and compares the neurons touched meanwhile at the
+    next tick that passes both tests.  Every call after a save lowers the
+    lows of the neurons that fired to reach its tick (``Kernel.fired``)
+    alone, since only a firing lowers a count.
 
     ``checked`` counts the calls to ``recurs`` and ``compared`` the neurons
     compared with a copy, summed over the kernels.
@@ -386,7 +386,6 @@ class Recurrence:
         self.sides = [(k, {}, k.spikes, k.countdown, k.pending, [], set(), set(), 0) for k in kernels]
         self.gate = max(len(k.spikes) for k in kernels) if gate is None else gate
         self.saved: int | None = None  # the tick of the copy
-        self.save_at: int | None = None  # the tick of the next
         self.proved: int | None = None
         self.period: int | None = None
         self.checked = 0
@@ -396,45 +395,42 @@ class Recurrence:
         """Re-yield ``ticks``, the ``(tick, environment, halted)`` stream of
         the kernels watched, until their run is settled: after the halting
         item, at the stream's end (its budget), or at the first item that
-        ``recurs``, whose tick ``proved`` then holds.  Checks start at the
-        gate (at once for a stream past it), so with the default gate a run
-        that halts before the largest neuron count pays for none.  An item
-        is checked when the caller asks for the next, after the caller's own
-        exits on it."""
+        ``recurs``.  Checks start at the gate (at once for a stream past it),
+        so with the default gate a run that halts before the largest neuron
+        count pays for none.  An item is checked when the caller asks for
+        the next, after the caller's own exits on it."""
         gate = self.gate
         for item in ticks:
             yield item
-            if item[2]:
-                return
-            if item[0] >= gate and self.recurs(item[0]):
-                self.proved = item[0]
+            if item[2] or (item[0] >= gate and self.recurs(item[0])):
                 return
 
     def recurs(self, tick: int) -> bool:
-        """Whether the state at ``tick`` recurs the copy saved last.  Each
-        kernel adds its touched neurons to its set; it compares the set's
-        neurons with the copy only when neither test of the class docstring
-        finds it apart, and otherwise lowers the lows of the neurons that
-        fired.  Called on every tick from the first call on."""
+        """Whether the state at ``tick`` recurs the copy saved last; if so,
+        ``proved`` becomes ``tick`` and ``period`` its distance from the
+        copy.  Each kernel lowers the lows of the neurons that fired and adds
+        its touched neurons to its set; it compares the set's neurons with
+        the copy only when neither test of the class docstring finds it
+        apart.  Called on every tick from the first call on; a tick t at or
+        past the gate with t + 2 a power of two is saved when it does not
+        recur."""
         self.checked += 1
         if self.saved is not None:
             related = True
             for kernel, bounds, spikes, countdown, pending, low, apart, unseen, shut in self.sides:
+                now = kernel.spikes
+                for i, _ in kernel.fired:
+                    if now[i] < low[i]:
+                        low[i] = now[i]
                 closed, dirty = kernel.touched
                 unseen.update(closed)
                 unseen.update(dirty)
-                now = kernel.spikes
                 if not related or len(closed) != shut or len(apart) > len(unseen):
-                    for i, _ in kernel.fired:
-                        if now[i] < low[i]:
-                            low[i] = now[i]
                     related = False
                     continue
                 closing, parked = kernel.countdown, kernel.pending
                 for i in unseen:
                     k = now[i]
-                    if k < low[i]:
-                        low[i] = k
                     if closing[i] != countdown[i] or parked[i] != pending[i] or k < spikes[i]:
                         apart.add(i)
                     elif k == spikes[i]:
@@ -452,13 +448,9 @@ class Recurrence:
                 if apart:
                     related = False
             if related:
-                self.period = tick - self.saved
+                self.proved, self.period = tick, tick - self.saved
                 return True
-        if self.save_at is None:  # the first save at or after the gate and this call
-            self.save_at = 0
-            while self.save_at < max(self.gate, tick):
-                self.save_at = 2 * self.save_at + 2
-        if tick == self.save_at:
+        if tick >= self.gate and (tick + 2) & (tick + 1) == 0:
             self.sides = [
                 (
                     k,
@@ -473,22 +465,23 @@ class Recurrence:
                 )
                 for k, bounds, *_ in self.sides
             ]
-            self.saved, self.save_at = tick, 2 * tick + 2
+            self.saved = tick
         return False
 
 
 class KeptPeriod(NamedTuple):
-    """The ticks of a run past its recurrence proof at t and the period P
-    that ``frames`` kept, from t + P + 1 to ``last``.
+    """The ticks of a run past its recurrence proof at t, from t + 1 to
+    ``last``, as the period P that ``frames`` kept.
 
     ``kept`` holds the frames of ticks t + 1 to t + P as ``(tick, counts,
-    countdown, pending, environment)`` tuples, and visit v >= 1 of its slot
+    countdown, pending, environment)`` tuples, and visit v >= 0 of its slot
     j is tick ``kept[j][0] + v * P``.  That tick has the slot's countdown
     and pending; its counts are the slot's with each neuron ``grown[i]``
     grown by v * ``growth[i]``, and its environment is the slot's grown by
     v * ``env_growth``.  ``grown`` lists, in declaration order, the neurons
     whose count grows over a period: every other count is the slot's on
-    every visit.
+    every visit.  When ``last`` is before t + P, only its first visits'
+    ticks are the run's.
     """
 
     kept: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...]
@@ -500,16 +493,17 @@ class KeptPeriod(NamedTuple):
 
 def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
     """The run to the first halting configuration or tick ``max_steps``:
-    every configuration the kernel computes as a frame ``(tick, spikes,
-    countdown, pending, environment, halted)``, then at most one item
-    ``(last, period)`` for the rest.
+    every configuration the kernel computes up to a recurrence proof as a
+    frame ``(tick, spikes, countdown, pending, environment, halted)``, then
+    at most one ``KeptPeriod`` for the rest.
 
     The kernel runs until ``Recurrence.settle``, checking from tick 0,
-    settles it.  After a proof at tick t with period P, it runs P more
-    ticks, yields their frames, and stops.  Ticks from t + P + 1 to the
-    budget's ``last`` come as one ``KeptPeriod`` that holds those P frames
-    and what each visit adds to them: such a run never halts and meets no
-    tie after t.
+    settles it.  After a proof at tick t with period P, when t is before
+    ``max_steps``, it runs P more ticks, keeps their frames, and stops.
+    Ticks from t + 1 to ``max_steps`` come as one ``KeptPeriod`` that holds
+    those P frames and what each visit adds to them: such a run never halts
+    and meets no tie after t.  The kernel's own budget is twice
+    ``max_steps``, so it always has room for them: P <= t.
 
     A frame's counts, countdown and pending are the kernel's live lists,
     valid until the generator is resumed.  Memory is the kernel's state
@@ -519,20 +513,20 @@ def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
     kernel = Kernel(system)
     spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
     recurrence = Recurrence(kernel, gate=0)
-    ticks = kernel.ticks(max_steps)
+    ticks = kernel.ticks(2 * max_steps)
     for tick, environment, halted in recurrence.settle(ticks):
         yield tick, spikes, countdown, pending, environment, halted
-    if recurrence.proved is None:
-        return
-    before, before_env = spikes.copy(), environment
-    kept = []
-    for tick, environment, halted in islice(ticks, recurrence.period):
-        yield tick, spikes, countdown, pending, environment, halted
-        kept.append((tick, tuple(spikes), tuple(countdown), tuple(pending), environment))
-    if tick < max_steps:
+        if tick == max_steps:
+            return
+    if recurrence.proved is not None:
+        before, before_env = spikes.copy(), environment
+        kept = tuple(
+            (tick, tuple(spikes), tuple(countdown), tuple(pending), environment)
+            for tick, environment, _ in islice(ticks, recurrence.period)
+        )
         grown = tuple(i for i, (k, b) in enumerate(zip(spikes, before)) if k != b)
         growth = tuple(spikes[i] - before[i] for i in grown)
-        yield max_steps, KeptPeriod(tuple(kept), grown, growth, environment - before_env, max_steps)
+        yield KeptPeriod(kept, grown, growth, kept[-1][4] - before_env, max_steps)
 
 
 def _period_and_floor(rules: tuple[Rule, ...]) -> tuple[int, int]:

@@ -230,8 +230,8 @@ class TraceStyle(Enum):
 # (tick, spikes, closed, pending, environment, halted).  ``closed`` holds the
 # ticks until each neuron reopens, ``pending`` its parked batch (0 while
 # open), and ``halted`` is true only on the halting configuration.  The last
-# item of a run may instead be ``(last, period)``: the ticks a
-# ``semantics.KeptPeriod`` describes, up to ``last`` (see ``trace_lines``).
+# item of a run may instead be a ``semantics.KeptPeriod``: the ticks after
+# the frames, to its ``last`` (see ``trace_lines``).
 Frame = tuple[int, Sequence[int], Sequence[int], Sequence[int], int, bool]
 
 
@@ -265,7 +265,7 @@ def _json_numerals() -> tuple[Callable[[int], str], Callable[[int], str]]:
 
 
 def trace_lines(
-    frames: Iterable[Frame | tuple[int, KeptPeriod]],
+    frames: Iterable[Frame | KeptPeriod],
     style: TraceStyle,
     ascii_brackets: bool,
     system: SnpSystem | None,
@@ -281,14 +281,14 @@ def trace_lines(
     budget.  Machine style ends with an outcome record, and
     ``halting_line`` ends paper and table styles with how the run ended.
 
-    A ``(last, period)`` item, as ``semantics.frames`` ends a proved run
-    with, gives one piece per visit of the kept period.  Each slot's line
+    A ``KeptPeriod`` item, as ``semantics.frames`` ends a proved run with,
+    gives one piece per visit of the kept period.  Each slot's line
     is built once, in the style's own format, as a template whose tick,
     grown counts and environment are holes.  The slots' templates are
     joined and split at the holes once, and each visit's piece is one join
     of those literals with its holes' decimal texts, which come a chunk of
     visits at a time as stride slices of a table of numerals
-    (``_visits``).  The last visit is cut at ``last``.
+    (``_visits``).  The last visit is cut at the period's ``last``.
     """
     if style is TraceStyle.PAPER:
         left, right = ("<", ">") if ascii_brackets else ("⟨", "⟩")
@@ -318,10 +318,9 @@ def trace_lines(
             )
 
     for frame in frames:
-        if len(frame) == 2:
-            tick, period = frame
-            environment = yield from _visits(period, line)
-            halted = False
+        if type(frame) is KeptPeriod:
+            tick, halted = frame.last, False
+            environment = yield from _visits(frame, line)
         else:
             tick, spikes, closed, pending, environment, halted = frame
             yield line(tick, spikes, closed, pending, environment)
@@ -339,8 +338,8 @@ _CHUNK_TEXTS = 1 << 16  # hole texts made at once, at most, unless a visit has m
 
 
 def _visits(period: KeptPeriod, line: Callable[..., str]) -> Iterator[str]:
-    """The lines of ``period``'s ticks, one piece per visit of its slots;
-    returns the environment at the last tick.
+    """The lines of ``period``'s ticks, one piece per visit of its slots
+    from visit 0; returns the environment at the last tick.
 
     Each slot's line is made by ``line`` once, as a template with a ``%d``
     hole for its tick, grown counts and environment.  The joined templates
@@ -352,8 +351,8 @@ def _visits(period: KeptPeriod, line: Callable[..., str]) -> Iterator[str]:
     end, ``map(str, ...)`` over them for that hole alone.  A chunk is at
     most ``_CHUNK_VISITS`` visits and ``_CHUNK_TEXTS`` texts, or one visit
     if that has more, so memory does not grow with ``last``.  A visit's
-    text is then one join of the literals and its texts, and the last visit
-    is cut at ``last``.
+    text is then one join of the literals and its texts.  A last visit cut
+    at ``last`` is the first lines of a whole one.
     """
     kept, grown, growth, env_growth = period.kept, period.grown, period.growth, period.env_growth
     size = len(kept)
@@ -368,25 +367,25 @@ def _visits(period: KeptPeriod, line: Callable[..., str]) -> Iterator[str]:
     literals = "\n".join(templates).split("%d")
     del templates
     # literals and growing holes alternate in pieces; a hole's value on
-    # visit 1 is its start, and it grows by its stride a visit
+    # visit 0 is its start, and it grows by its stride a visit
     pieces, starts, strides = [literals[0]], [], []
     distinct: dict[str, str] = {}  # one object per distinct literal
     for first, step, literal in zip(firsts, steps, literals[1:]):
         if step:
             pieces += (None, distinct.setdefault(literal, literal))
-            starts.append(first + step)
+            starts.append(first)
             strides.append(step)
         else:
             pieces[-1] += str(first) + literal
     del literals, firsts, steps, distinct
-    visits, cut = divmod(period.last - kept[-1][0], size)
+    visits, cut = divmod(period.last - kept[0][0] + 1, size)
     numerals = _numerals()
     end = len(numerals)
     chunk = max(1, min(_CHUNK_VISITS, _CHUNK_TEXTS // len(strides)))
     for lo in range(0, visits, chunk):
         n = min(chunk, visits - lo)
         stops = [start + stride * n for start, stride in zip(starts, strides)]
-        texts: list[str] = []  # hole by hole, the texts of visits lo + 1 to lo + n
+        texts: list[str] = []  # hole by hole, the texts of visits lo to lo + n - 1
         for a, b, d in zip(starts, stops, strides):
             texts += numerals[a:b:d] if b - d < end else map(str, range(a, b, d))
         for visit in range(n):
@@ -394,14 +393,9 @@ def _visits(period: KeptPeriod, line: Callable[..., str]) -> Iterator[str]:
             yield "".join(pieces)
         starts = stops
     if cut:
-        # each slot has a tick hole, a hole per grown count, and the
-        # environment's when it grows
-        holes = cut * (1 + len(grown) + bool(env_growth))
-        pieces = pieces[: 2 * holes + 1]
-        pieces[1::2] = map(str, starts[:holes])
-        pieces[-1] = pieces[-1].split("\n", 1)[0]
-        yield "".join(pieces)
-    visit, slot = (visits + 1, cut - 1) if cut else (visits, size - 1)
+        pieces[1::2] = map(str, starts)
+        yield "\n".join("".join(pieces).split("\n", cut)[:cut])
+    visit, slot = divmod(period.last - kept[0][0], size)
     return kept[slot][4] + visit * env_growth
 
 

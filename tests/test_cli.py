@@ -672,8 +672,8 @@ def test_sim_matches_format_trace_over_many_periods(tmp_path, doc, grown, style,
     # with period 4 and no count grows, and in all-grow every count grows,
     # to 3000
     system = parse_system(doc)
-    *_, (_, last, *_) = semantics.frames(system, 2000)
-    assert len(last.grown) == grown
+    *_, period = semantics.frames(system, 2000)
+    assert len(period.grown) == grown
     path = tmp_path / "system.snp"
     path.write_text(doc)
     argv = [str(path), "--max-steps", "2000", "--style", style.value, *(["--ascii"] if ascii_brackets else [])]
@@ -688,7 +688,7 @@ def test_sim_cuts_the_last_visit_at_the_budget(system, visits):
     # past the kept period sim prints one piece per visit of it, the last
     # cut at the budget: with the budget at every offset of the visit after
     # ``visits`` whole ones, each style prints the reference run's lines
-    *_, (_, period) = semantics.frames(system, 10**4)
+    *_, period = semantics.frames(system, 10**4)
     proof, length = period.kept[0][0] - 1, len(period.kept)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.snp"
@@ -699,6 +699,31 @@ def test_sim_cuts_the_last_visit_at_the_budget(system, visits):
                 argv = [str(path), "--max-steps", str(steps), "--style", style.value]
                 expected = expected_sim(system, steps, style, ascii_brackets)
                 assert sim(argv + ["--ascii"] * ascii_brackets) == (0, expected, ""), (steps, style)
+
+
+@pytest.mark.parametrize(
+    "system, proof, length",
+    [
+        (parse_system((SYSTEMS_DIR / "iteration-d2.snp").read_text()), 6, 4),
+        (parse_system((GOLDEN / "dense-20.snp").read_text()), 34, 4),
+        (LATE_LOOP, 64, 2),
+    ],
+    ids=["iteration-d2", "dense-20", "late-loop"],
+)
+def test_sim_prints_every_budget_around_the_first_kept_period(tmp_path, system, proof, length):
+    # every tick past the proof comes from the kept period: a budget at the
+    # proof prints none of it, one inside the first period a cut first
+    # visit, and the budgets up to two periods past the proof one whole
+    # visit and then a cut or whole second one
+    *_, period = semantics.frames(system, 10**4)
+    assert (period.kept[0][0] - 1, len(period.kept)) == (proof, length)
+    path = tmp_path / "system.snp"
+    path.write_text(serialize_system(system))
+    for steps in range(proof, proof + 2 * length + 1):
+        for style, ascii_brackets in STYLES:
+            argv = [str(path), "--max-steps", str(steps), "--style", style.value, *(["--ascii"] * ascii_brackets)]
+            expected = expected_sim(system, steps, style, ascii_brackets)
+            assert sim(argv) == (0, expected, ""), (steps, style)
 
 
 @pytest.mark.parametrize(
@@ -734,7 +759,7 @@ def test_sim_cuts_the_visits_at_chunk_boundaries(tmp_path, monkeypatch, doc):
     # at each offset.  In iteration-d2 only the tick grows, and in all-grow
     # every count does
     system = parse_system(doc)
-    *_, (_, period) = semantics.frames(system, 10**4)
+    *_, period = semantics.frames(system, 10**4)
     size = len(period.kept)
     holes = size * (1 + len(period.grown) + bool(period.env_growth))  # a visit's growing holes
     monkeypatch.setattr(textio, "_CHUNK_TEXTS", 3 * holes)
@@ -754,7 +779,7 @@ def test_sim_cuts_the_visits_at_chunk_boundaries(tmp_path, monkeypatch, doc):
 def test_sim_prints_the_same_whatever_the_chunk(system, texts, past, style):
     # chunks of any size, down to one visit when a visit has more holes than
     # a chunk's texts, print the reference run's lines
-    *_, (_, period) = semantics.frames(system, 10**4)
+    *_, period = semantics.frames(system, 10**4)
     steps = period.kept[-1][0] + past
     style, ascii_brackets = style
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:

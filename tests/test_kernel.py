@@ -30,7 +30,7 @@ from snpkit import (
     verify,
 )
 from snpkit import semantics
-from snpkit.semantics import Kernel, Recurrence, frames, initial_configuration
+from snpkit.semantics import Kernel, KeptPeriod, Recurrence, frames, initial_configuration
 from snpkit.textio import TraceStyle, trace_lines
 
 from .conftest import (
@@ -132,7 +132,7 @@ def visits(period):
     """The frames of the ticks a ``KeptPeriod`` describes, each worked out
     on its own from the kept frame of its slot and the visit's number."""
     kept, first = period.kept, period.kept[0][0]
-    for tick in range(kept[-1][0] + 1, period.last + 1):
+    for tick in range(first, period.last + 1):
         visit, slot = divmod(tick - first, len(kept))
         _, counts, countdown, pending, environment = kept[slot]
         counts = list(counts)
@@ -147,10 +147,9 @@ def streamed_frames(system, budget):
     streamed = []
     try:
         for frame in frames(system, budget):
-            if len(frame) == 2:
-                last, period = frame
-                assert last == period.last == budget
-                streamed.extend(visits(period))
+            if isinstance(frame, KeptPeriod):
+                assert frame.last == budget
+                streamed.extend(visits(frame))
             else:
                 tick, spikes, countdown, pending, environment, halted = frame
                 streamed.append((tick, list(spikes), list(countdown), list(pending), environment, halted))
@@ -210,9 +209,9 @@ def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
             yield item
 
     monkeypatch.setattr(Kernel, "ticks", counted)
-    streamed = list(frames(system, 10**5))
-    assert [frame[0] for frame in streamed] == [*range(11), 10**5]
-    assert streamed[-1][1].last == 10**5  # the ticks from 11 on, as one kept period
+    *live, period = frames(system, 10**5)
+    assert [frame[0] for frame in live] == list(range(7))
+    assert period.last == 10**5  # the ticks from 7 on, as one kept period
     assert advanced == list(range(11))  # to the proof at tick 6, then one period of 4
 
 
@@ -229,11 +228,11 @@ def test_frames_match_the_kernel_over_many_periods():
         for field, value, reference in zip(fields, got, want):
             assert value == reference, (got[0], field)
     assert max(streamed[-1][1]) > 1024
-    # past the kept period, frames yields one description of it: the kernel's
+    # past the proof, frames yields one description of the rest: the kernel's
     # frames of ticks 35 to 38 as tuples, the neurons whose counts grow and
     # by how much per visit, the environment's growth and the last tick
-    *live, (last, period) = frames(system, 2000)
-    assert [frame[0] for frame in live] == list(range(39)) and last == 2000
+    *live, period = frames(system, 2000)
+    assert [frame[0] for frame in live] == list(range(35)) and period.last == 2000
     kept = [(tick, *map(tuple, lists), env) for tick, *lists, env, _ in expected[35:39]]
     assert period.kept == tuple(kept)
     growth = [now - then for now, then in zip(expected[38][1], expected[34][1])]
@@ -430,6 +429,19 @@ DIP_WHILE_CLOSED = parse_system(
     "syn n0 -> n1\nsyn n2 -> n1\nsyn n1 -> n2\nsyn n2 -> n0\nout n0\n"
 )
 
+# n4 holds 2 spikes at the save at tick 62 and 3 at tick 99, a multiple of
+# its L of 1 more, but falls below its floor of 2 on ticks the check
+# compares (to 0 at tick 70, after firing on the way to it); only those
+# lows keep tick 99 from recurring 62, and no tick recurs by tick 300
+DIP_WHILE_COMPARED = parse_system(
+    "system dip-while-compared\nneuron n0\nrule n0: a+ / a -> a ; 1\n"
+    "neuron n1\nrule n1: (a^2)+ / a^2 -> a ; 2\nneuron n2\nrule n2: a+ / a -> a\n"
+    "neuron n3\nrule n3: a+ / a -> a ; 1\nneuron n4 spikes=1\nrule n4: a+ / a -> a ; 1\n"
+    "neuron n5\nrule n5: a+ / a -> a ; 2\n"
+    "syn n0 -> n1\nsyn n0 -> n4\nsyn n1 -> n3\nsyn n2 -> n0\nsyn n2 -> n4\nsyn n3 -> n2\n"
+    "syn n3 -> n4\nsyn n3 -> n5\nsyn n4 -> n2\nsyn n5 -> n0\nout n0\n"
+)
+
 
 def reference_configurations(system, budget):
     """``run``'s configurations to ``budget``, or to the tick before a tie."""
@@ -506,6 +518,7 @@ oracle_systems = st.one_of(
 @example(LATE_LOOP, 0)
 @example(LATE_LOOP, None)
 @example(DIP_WHILE_CLOSED, 0)
+@example(DIP_WHILE_COMPARED, 0)
 @settings(max_examples=300, deadline=None)
 def test_recurs_answers_the_relation_on_one_kernel(system, gate):
     # frames' check (gate 0) and the overlap check's (the neuron count):
