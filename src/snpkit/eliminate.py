@@ -63,6 +63,14 @@ class BatchOverlapWarning(UserWarning):
     """
 
 
+def warned(hazards: list[str]) -> tuple[str, ...]:
+    """Issue each hazard as a BatchOverlapWarning that points at the caller
+    of ``eliminate_delays`` or ``verify``, and return them as a tuple."""
+    for message in hazards:
+        warnings.warn(BatchOverlapWarning(message), stacklevel=3)
+    return tuple(hazards)
+
+
 class IdAllocator:
     """Hands out ids not colliding with anything seen so far."""
 
@@ -240,14 +248,11 @@ def eliminate_delays(system: SnpSystem) -> TransformResult:
     ``MAX_ADDED_NEURONS``, and UnsupportedDelayedRule when a delayed rule
     is not of the shape (a^j)+ / a^j -> a.  The target is exact when no
     batch reaches a closed neuron and no delayed neuron fires with a batch
-    queued in the normalized source's run; a BatchOverlapWarning names the
-    first such event, or says the run left it undecided (``batch_hazards``).
+    queued in the normalized source's run; ``warned`` issues a hazard that
+    names the first such event, or says the run left it undecided.
     """
     result = rewrite(system)
-    hazards = tuple(batch_hazards(result.normalized_source))
-    for message in hazards:
-        warnings.warn(BatchOverlapWarning(message), stacklevel=2)
-    return result._replace(hazards=hazards)
+    return result._replace(hazards=warned(batch_hazards(result.normalized_source)))
 
 
 def rewrite(system: SnpSystem) -> TransformResult:
@@ -348,8 +353,7 @@ def batch_hazards(system: SnpSystem) -> list[str]:
     try:
         for _, _, halted in recurrence.settle(kernel.ticks(_HAZARD_TICKS)):
             if kernel.event is not None:
-                kind, i, at = kernel.event
-                return [_hazard(kind, kernel.ids[i], at)]
+                return [_hazard(*kernel.event)]
     except NondeterministicChoice as err:
         return [_hazard("tie", err.neuron, err.tick)]
     return [] if halted or recurrence.proved is not None else [_undecided()]
@@ -362,11 +366,11 @@ def hazards_from_run(
     settled: int | None,
 ) -> list[str] | None:
     """What ``batch_hazards(system)`` returns, worked out from another run
-    of ``system``: its first ``event`` ("lost" or "queued", neuron, tick) as
-    far as that run went, or None; its ``halt``ing tick or None; and the
-    tick at which halting, or a proof of a ``Recurrence`` whose first
-    kernel runs ``system`` (as co-simulation's do), ``settled`` the whole
-    run, or None.  None when these facts leave the answer open.
+    of ``system``: its first ``event`` (a ``Kernel.event``) as far as that
+    run went, or None; its ``halt``ing tick or None; and the tick at which
+    halting, or a proof of a ``Recurrence`` whose first kernel runs
+    ``system`` (as co-simulation's do), ``settled`` the whole run, or None.
+    None when these facts leave the answer open.
 
     The check stops at the first event, a tie, halting, its own recurrence
     proof or its budget.  Nothing comes after a recurrence proof that did
@@ -380,8 +384,7 @@ def hazards_from_run(
     if not system.delays:
         return []
     if event is not None:
-        kind, neuron, at = event
-        return [_hazard(kind, neuron, at) if at <= _HAZARD_TICKS else _undecided()]
+        return [_hazard(*event) if event[2] <= _HAZARD_TICKS else _undecided()]
     if halt is not None:
         return [] if halt <= _HAZARD_TICKS else [_undecided()]
     if settled is not None and settled <= _HAZARD_TICKS:

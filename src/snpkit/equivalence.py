@@ -16,10 +16,9 @@ change the verdict, and returns exactly the verdict of a run to the bound.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
-from .eliminate import BatchOverlapWarning, TransformResult, batch_hazards, hazards_from_run, rewrite
+from .eliminate import TransformResult, batch_hazards, hazards_from_run, rewrite, warned
 from .model import SnpSystem
 from .semantics import Kernel, NondeterministicChoice, Recurrence
 
@@ -74,7 +73,8 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     still running never halts, and each environment gains what it gained
     one period earlier, the same on both sides as they agreed at both ends
     of the period.  After the first divergence each side runs on alone
-    until it is settled, the source first.
+    until it is settled, the source first; after a tie only the source
+    does, and then the tie is raised.
 
     The verdict also records two facts of the source's run that the
     co-simulation has anyway: its first event that the rewrite does not
@@ -93,7 +93,7 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     src, tgt = Kernel(source), Kernel(target)
     src.label, tgt.label = "source", "target"
     src_ticks, tgt_ticks = src.ticks(bound), tgt.ticks(bound)
-    source_halt = target_halt = first_divergence = a = b = None
+    source_halt = target_halt = first_divergence = tie = a = b = None
 
     def lock_step():
         # a tick of each side still running, the source first, to the first divergence
@@ -116,21 +116,19 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     try:
         for _ in settling.settle(lock_step()):
             pass
-    except NondeterministicChoice as err:
-        if err.system == "target":  # the source runs on alone: its own error comes first
-            for _ in Recurrence(src).settle(src_ticks):
-                pass
-        raise
-    if first_divergence is not None:  # each side runs on alone, the source first
+    except NondeterministicChoice as err:  # a tied side has no more ticks
+        tie = err
+    if first_divergence is not None or tie:  # each side runs on alone, the source first
         settling = Recurrence(src)
         for tick, a, halted in settling.settle(src_ticks):
             if halted:
                 source_halt = tick
+        if tie:  # the source's own error, if any, came first
+            raise tie
         for tick, b, halted in Recurrence(tgt).settle(tgt_ticks):
             if halted:
                 target_halt = tick
 
-    event = src.event
     if source_halt is None and target_halt is None:
         r1 = r2 = None
     else:
@@ -146,7 +144,7 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
         trajectory_equal_through=bound if first_divergence is None else first_divergence[0] - 1,
         first_divergence=first_divergence,
         bound=bound,
-        source_event=None if event is None else (event[0], src.ids[event[1]], event[2]),
+        source_event=src.event,
         source_settled=settling.proved if source_halt is None else source_halt,
     )
 
@@ -157,10 +155,10 @@ def verify(system: SnpSystem, bound: int = 200) -> tuple[TransformResult, Verdic
     unless the hazards need the overlap check's own run.
 
     The result is ``eliminate_delays``' and the verdict ``co_simulate``'s,
-    and each hazard is issued as a BatchOverlapWarning, as
-    ``eliminate_delays`` does.  The hazards come from the co-simulated run
-    of the source (``hazards_from_run``); only when that run leaves them
-    open is ``batch_hazards`` run on the source.  The errors are those of
+    and ``warned`` issues the hazards, as in ``eliminate_delays``.  The
+    hazards come from the co-simulated run of the source
+    (``hazards_from_run``); only when that run leaves them open is
+    ``batch_hazards`` run on the source.  The errors are those of
     ``eliminate_delays`` and ``co_simulate``; a NondeterministicChoice from
     co-simulation carries the hazards, from ``batch_hazards``, as its
     ``hazards`` attribute, and they are warned before it is raised.
@@ -172,15 +170,11 @@ def verify(system: SnpSystem, bound: int = 200) -> tuple[TransformResult, Verdic
     try:
         verdict = co_simulate(source, result.target, bound)
     except NondeterministicChoice as err:
-        err.hazards = tuple(batch_hazards(source))
-        for message in err.hazards:
-            warnings.warn(BatchOverlapWarning(message), stacklevel=2)
+        err.hazards = warned(batch_hazards(source))
         raise
     hazards = hazards_from_run(
         source, verdict.source_event, verdict.source_halt, verdict.source_settled
     )
     if hazards is None:
         hazards = batch_hazards(source)
-    for message in hazards:
-        warnings.warn(BatchOverlapWarning(message), stacklevel=2)
-    return result._replace(hazards=tuple(hazards)), verdict
+    return result._replace(hazards=warned(hazards)), verdict

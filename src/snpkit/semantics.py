@@ -212,7 +212,7 @@ class Kernel:
     A malformed system is refused with ValidationError when the kernel is
     built, so a tick trusts every rule it fires.
 
-    ``event`` is ``(kind, neuron index, tick)`` of the first of two events
+    ``event`` is ``(kind, neuron id, tick)`` of the first of two events
     the run meets, or None: ``"lost"`` when a spike batch reaches a closed
     neuron, ``"queued"`` when a delayed rule fires and leaves spikes that
     still enable it, so the next batch waits out the closed window.  A
@@ -228,7 +228,7 @@ class Kernel:
         self.spikes = [n.initial_spikes for n in neurons]
         self.countdown = [0] * len(neurons)
         self.pending = [0] * len(neurons)
-        self.event: tuple[str, int, int] | None = None
+        self.event: tuple[str, str, int] | None = None
         self.label: str | None = None
 
     def ticks(self, max_steps: int) -> Iterator[tuple[int, int, bool]]:
@@ -298,7 +298,7 @@ class Kernel:
                     pending[i] = rule.produce
                     closed.append(i)
                     if event is None and k >= rule.consume and rule.guard.matches(k):
-                        event = self.event = ("queued", i, tick + 1)
+                        event = self.event = ("queued", ids[i], tick + 1)
                 else:
                     dirty.add(i)
                     if rule.produce > 0:
@@ -309,7 +309,7 @@ class Kernel:
                         spikes[target] += batch
                         dirty.add(target)
                     elif event is None:
-                        event = self.event = ("lost", target, tick + 1)
+                        event = self.event = ("lost", ids[target], tick + 1)
                 if origin == output:
                     environment += batch
             tick += 1

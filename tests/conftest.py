@@ -25,27 +25,16 @@ SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
 
 # CI runs tier-1 with ``--hypothesis-profile=ci``: every property draws
 # CI_EXAMPLES times its examples, with no deadline.  A property's own
-# ``@settings(max_examples=...)`` overrides any profile, so the collection
-# hook below scales it.
+# ``@settings`` takes its count from ``examples``, and its deadline, when it
+# sets none, from the profile.
 CI_EXAMPLES = 5
 settings.register_profile("ci", max_examples=CI_EXAMPLES * settings().max_examples, deadline=None)
 
 
-def pytest_collection_modifyitems(items):
-    if settings.get_current_profile_name() != "ci":
-        return
-    scaled = set()
-    for item in items:
-        test = getattr(item, "obj", None)
-        test = getattr(test, "__func__", test)  # a method's function
-        if not getattr(test, "is_hypothesis_test", False) or test in scaled:
-            continue  # a parametrized property is one function for all its items
-        scaled.add(test)
-        own = test._hypothesis_internal_use_settings  # where @given reads it
-        if own is not settings.default:  # a property without @settings has the profile's
-            test._hypothesis_internal_use_settings = settings(
-                own, max_examples=CI_EXAMPLES * own.max_examples, deadline=None
-            )
+def examples(n: int) -> int:
+    """A property's ``max_examples``: ``n``, and CI_EXAMPLES times ``n``
+    under the ci profile."""
+    return CI_EXAMPLES * n if settings.get_current_profile_name() == "ci" else n
 
 
 @pytest.fixture
@@ -262,15 +251,16 @@ def fan_out_systems(draw) -> SnpSystem:
 
 @st.composite
 def recurring_systems(draw, events: bool = True) -> SnpSystem:
-    """Valid systems whose runs recur: a tail of 0-4 hops into a loop of
-    2-5 hops, each hop an ``a+ / a -> a`` rule with a delay of 0-2, and 1-3
-    fan-out neurons fed from the tail and the loop.  A spike that enters
-    the loop circulates forever; a fan-out neuron without a rule, or one
-    fed faster than its ``(a^k)+ / a^k -> a`` rule spends, grows by the
-    same amount each period, and one that feeds back into the loop can
-    make the loop's counts grow too.  Every neuron has at most one rule, so no
-    run ties, and the loop holds a spike from the start or once the tail's
-    first spike reaches it, so no run halts.
+    """Valid systems whose runs mostly recur: a tail of 0-4 hops into a loop
+    of 2-5 hops, each hop an ``a+ / a -> a`` rule with a delay of 0-2, and
+    1-3 fan-out neurons fed from the tail and the loop.  A spike that
+    enters the loop circulates forever; a fan-out neuron without a rule, or
+    one fed faster than its ``(a^k)+ / a^k -> a`` rule spends, grows by the
+    same amount each period, and one that feeds back into the loop can make
+    the loop's counts grow too, or wander so that no check proves the run
+    recurrent (``test_kernel.NO_PROOF``).  Every neuron has at most one
+    rule, so no run ties, and the loop holds a spike from the start or once
+    the tail's first spike reaches it, so no run halts.
 
     With ``events`` false, the first hop holds the only spike and no
     fan-out neuron feeds back, so a delayed hop never holds a second spike

@@ -36,6 +36,7 @@ from snpkit.cli import main
 
 from .conftest import (
     SYSTEMS_DIR,
+    examples,
     fan_out_systems,
     mostly_recurring,
     periodic_systems,
@@ -43,7 +44,7 @@ from .conftest import (
     simple_systems,
     two_rule_systems,
 )
-from .test_kernel import LATE_LOOP
+from .test_kernel import LATE_LOOP, NO_PROOF
 
 RELAY_DOC = """\
 system relay
@@ -458,19 +459,24 @@ def late_loop(spikes, idle=0, hops=2):
     )
 
 
-# a batch lost at tick 10002, after the overlap check's budget: ``acc``
-# fires once it holds the 10,000 spikes ``t`` sends one a tick
-LATE_LOSS = parse_system(
-    "system late-loss\nneuron t spikes=10000\nrule t: a+ / a -> a\n"
-    "neuron acc\nrule acc: a^10000 / a^10000 -> a\nneuron e\nrule e: a+ / a -> a\n"
-    "neuron d\nrule d: a+ / a -> a ; 2\n"
-    "syn t -> acc\nsyn acc -> d\nsyn acc -> e\nsyn e -> d\nout d\n"
-)
-# halts at tick 10005 with no event, after the budget
-LATE_HALT = parse_system(
-    "system late-halt\nneuron t spikes=10005\nrule t: a+ / a -> a\n"
-    "neuron d\nrule d: a+ / a -> a ; 2\nout t\n"
-)
+def late_loss(spikes):
+    """A batch lost at tick ``spikes`` + 2: ``acc`` fires once it holds the
+    ``spikes`` spikes ``t`` sends one a tick, and its batch reaches ``d``
+    once directly and once through ``e``, while ``d`` is closed."""
+    return parse_system(
+        f"system late-loss\nneuron t spikes={spikes}\nrule t: a+ / a -> a\n"
+        f"neuron acc\nrule acc: a^{spikes} / a^{spikes} -> a\nneuron e\nrule e: a+ / a -> a\n"
+        "neuron d\nrule d: a+ / a -> a ; 2\n"
+        "syn t -> acc\nsyn acc -> d\nsyn acc -> e\nsyn e -> d\nout d\n"
+    )
+
+
+def late_halt(spikes):
+    """Halts at tick ``spikes`` with no event."""
+    return parse_system(
+        f"system late-halt\nneuron t spikes={spikes}\nrule t: a+ / a -> a\n"
+        "neuron d\nrule d: a+ / a -> a ; 2\nout t\n"
+    )
 
 
 @given(
@@ -480,30 +486,41 @@ LATE_HALT = parse_system(
 # the hazards that co-simulation leaves open, or settles only past the
 # budget: a run cut at the bound, a tie, an event or a halt after the
 # budget, and loops that start repeating before the overlap check's save at
-# tick 8,194 (5,000 spikes, proved at 8,196), just after it (8,195 spikes)
-# or well after it (8,500), both proved at 16,388, past its budget of
-# 10,000.  Every check on the source's run saves at the same ticks, the
-# source's neuron count plus 2^m - 2, so co-simulation proves each loop
-# where the overlap check does, and verify answers without running it when
-# that is within the budget: with 1,996 idle neurons beside the loop,
-# co-simulation's joint check starts at the target's 2,002 neurons and
-# still proves it at 4,048.  A loop of 904 hops that starts repeating at
-# tick 6,000 is proved one period after the save at 906 + 8,190, at the
-# budget's last tick, and one idle neuron more puts the proof one tick past
+# tick 8,190 (5,000 spikes, proved at 8,192), just after it (8,195 spikes)
+# or well after it (8,500), both proved at 16,384, past its budget of
+# 10,000.  Every check on the source's run saves at the same ticks, 2^m - 2
+# from its gate on, so co-simulation proves each loop where the overlap
+# check does, and verify answers without running it when that is within the
+# budget: with 1,996 idle neurons beside the loop, co-simulation's joint
+# check starts at the target's 2,002 neurons and still proves it at 4,096.
+# A loop of 904 hops that starts repeating at tick 6,000 is proved one
+# period after the save at 8,190, at 9,094, with or without an idle neuron
+# beside it.  The budget's edge: a batch lost at tick 10,000 is the hazard
+# and one lost at 10,001 leaves the run undecided; a halt at 10,000 settles
+# it and one at 10,001 does not; and a loop of 1,810 hops is proved at
+# 8,190 + 1,810 = 10,000, the budget's last tick, and one of 1,811 hops a
+# tick past it, which co-simulation leaves open and the overlap check
+# answers undecided
 @example(parse_system(QUEUED_LOOP_DOC), 0)
 @example(parse_system(QUEUED_LOOP_DOC), 5)
 @example(parse_system(RELAY_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a\nrule 1: a / a -> a\n")), 200)
 @example(parse_system(TIE_LATER_DOC.replace("rule 1: a+ / a -> a\n", "rule 1: a+ / a -> a ; 1\n")), 200)
-@example(LATE_LOSS, 20_000)
-@example(LATE_LOSS, 1500)
-@example(LATE_HALT, 20_000)
+@example(late_loss(10_000), 20_000)
+@example(late_loss(10_000), 1500)
+@example(late_loss(9_998), 20_000)
+@example(late_loss(9_999), 20_000)
+@example(late_halt(10_005), 20_000)
+@example(late_halt(10_000), 20_000)
+@example(late_halt(10_001), 20_000)
 @example(late_loop(5000), 20_000)
 @example(late_loop(8195), 20_000)
 @example(late_loop(8500), 20_000)
 @example(late_loop(3500, idle=1996), 20_000)
 @example(late_loop(6000, hops=904), 20_000)
 @example(late_loop(6000, idle=1, hops=904), 20_000)
-@settings(max_examples=300, deadline=None)
+@example(late_loop(6000, hops=1810), 20_000)
+@example(late_loop(6000, hops=1811), 20_000)
+@settings(max_examples=examples(300), deadline=None)
 def test_verify_warns_what_transform_warns(tmp_path_factory, system, bound):
     # verify takes the hazards from its co-simulated run of the source,
     # transform from a run of its own
@@ -527,7 +544,7 @@ def test_verify_settles_a_late_loop_without_the_overlap_check(tmp_path, monkeypa
     def unexpected(system):
         raise AssertionError("verify ran the overlap check")
 
-    for name, system in [("gated-later", late_loop(3500, idle=1996)), ("at-the-budget", late_loop(6000, hops=904))]:
+    for name, system in [("gated-later", late_loop(3500, idle=1996)), ("at-the-budget", late_loop(6000, hops=1810))]:
         path = tmp_path / f"{name}.snp"
         path.write_text(serialize_system(system))
         argv = ["verify", str(path), "--bound", "20000"]
@@ -583,7 +600,7 @@ def expected_sim(system, steps, style, ascii_brackets, trace=None):
     st.sampled_from(TraceStyle),
     st.booleans(),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_sim_streams_what_format_trace_renders(tmp_path_factory, system, steps, style, ascii_brackets):
     path = tmp_path_factory.mktemp("sim") / "system.snp"
     path.write_text(serialize_system(system))
@@ -619,7 +636,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize(
     "path, steps",
-    # both recur, at ticks 8 and 26; the budgets reach at least 5 times as far
+    # frames proves them recurrent at ticks 6 and 34; the budgets reach at
+    # least 4 times as far
     [(SYSTEMS_DIR / "iteration-d2.snp", 60), (GOLDEN / "dense-20.snp", 140)],
     ids=["iteration-d2", "dense-20"],
 )
@@ -664,13 +682,13 @@ STYLE_IDS = ["machine", "paper", "paper-ascii", "table"]
     ids=[*STYLE_IDS, *(f"{name}-{style}" for name in ("iteration-d2", "all-grow") for style in STYLE_IDS)],
 )
 def test_sim_matches_format_trace_over_many_periods(tmp_path, doc, grown, style, ascii_brackets):
-    # dense-20 recurs from tick 26 with period 4: by tick 2000 each slot of
-    # the period is printed about 490 times, and 10 of its 20 counts grow,
-    # to 1992.  That passes the 1024 texts the machine style keeps for the
-    # frames before a proof, but not the 4096 of the table that fills a kept
-    # period's holes (see the next test).  iteration-d2 recurs from tick 8
-    # with period 4 and no count grows, and in all-grow every count grows,
-    # to 3000
+    # dense-20 is proved recurrent at tick 34 with period 4: by tick 2000
+    # each slot of the period is printed about 490 times, and 10 of its 20
+    # counts grow, to 1992.  That passes the 1024 texts the machine style
+    # keeps for the frames before a proof, but not the 4096 of the table
+    # that fills a kept period's holes (see the next test).  iteration-d2 is
+    # proved recurrent at tick 6 with period 4 and no count grows, and in
+    # all-grow every count grows, to 3000
     system = parse_system(doc)
     *_, period = semantics.frames(system, 2000)
     assert len(period.grown) == grown
@@ -683,18 +701,24 @@ def test_sim_matches_format_trace_over_many_periods(tmp_path, doc, grown, style,
 
 @given(recurring_systems(), st.integers(2, 3))
 @example(LATE_LOOP, 2)
-@settings(max_examples=40, deadline=None)
+@example(NO_PROOF, 2)
+@settings(max_examples=examples(40), deadline=None)
 def test_sim_cuts_the_last_visit_at_the_budget(system, visits):
     # past the kept period sim prints one piece per visit of it, the last
     # cut at the budget: with the budget at every offset of the visit after
-    # ``visits`` whole ones, each style prints the reference run's lines
+    # ``visits`` whole ones, each style prints the reference run's lines.  A
+    # run without a proof within 10^4 ticks, as NO_PROOF's, prints live
+    # frames only, checked at a budget of 2,000
     *_, period = semantics.frames(system, 10**4)
-    proof, length = period.kept[0][0] - 1, len(period.kept)
+    if isinstance(period, semantics.KeptPeriod):
+        proof, length = period.kept[0][0] - 1, len(period.kept)
+        budgets = [proof + length * (1 + visits) + offset for offset in range(length)]
+    else:
+        budgets = [2000]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.snp"
         path.write_text(serialize_system(system))
-        for offset in range(length):
-            steps = proof + length * (1 + visits) + offset
+        for steps in budgets:
             for style, ascii_brackets in STYLES:
                 argv = [str(path), "--max-steps", str(steps), "--style", style.value]
                 expected = expected_sim(system, steps, style, ascii_brackets)
@@ -775,7 +799,7 @@ def test_sim_cuts_the_visits_at_chunk_boundaries(tmp_path, monkeypatch, doc):
 
 
 @given(recurring_systems(), st.integers(1, 40), st.integers(1, 60), st.sampled_from(STYLES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_sim_prints_the_same_whatever_the_chunk(system, texts, past, style):
     # chunks of any size, down to one visit when a visit has more holes than
     # a chunk's texts, print the reference run's lines
@@ -845,7 +869,7 @@ def test_table_shows_countdowns_when_a_delayed_rule_fires(relay_file):
     st.booleans(),
 )
 @example(parse_system(RELAY_DOC), 1, 1, TraceStyle.TABLE, False)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_a_shorter_budget_prints_a_prefix_of_a_longer_one(
     tmp_path_factory, system, budget, more, style, ascii_brackets
 ):
@@ -979,7 +1003,7 @@ def test_sim_memory_does_not_grow_with_the_ticks(tmp_path):
 
 @pytest.mark.parametrize(
     "path",
-    # proved recurrent at ticks 8 and 26, both with period 4; dense-20's
+    # proved recurrent at ticks 6 and 34, both with period 4; dense-20's
     # counts grow, so its later frames are not the recorded ones
     [SYSTEMS_DIR / "iteration-d2.snp", GOLDEN / "dense-20.snp"],
     ids=["iteration-d2", "dense-20"],

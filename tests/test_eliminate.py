@@ -35,6 +35,7 @@ from snpkit.textio import parse_system
 
 from .conftest import (
     SYSTEMS_DIR,
+    examples,
     fan_out_systems,
     iteration_instances,
     mostly_recurring,
@@ -571,7 +572,7 @@ class TestBatchHazards:
         assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.one_of(simple_systems(), fan_out_systems()))
 def test_no_hazard_means_equivalent(system):
     try:
@@ -582,7 +583,7 @@ def test_no_hazard_means_equivalent(system):
         assert co_simulate(result.normalized_source, result.target, 100).equivalent
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(mostly_recurring(st.one_of(periodic_systems(), two_rule_systems()), events=False))
 def test_no_hazard_means_no_event_in_a_long_run(system):
     # a recurrence must also repeat the kernel's "queued" test, which reads

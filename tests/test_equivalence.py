@@ -1,7 +1,9 @@
 """Co-simulation verdicts and the neuron-count law."""
 
+import linecache
 import random
 import warnings
+from contextlib import nullcontext
 
 import pytest
 
@@ -23,6 +25,20 @@ from snpkit import (
     env_trajectory,
     generate,
     verify,
+)
+from snpkit.semantics import Kernel
+
+# a two-tick loop feeds a neuron that stays closed for three ticks: the
+# original drops every other batch, the rewrite keeps them all
+HAZARDOUS = SnpSystem(
+    (
+        Neuron("A", 1, (Rule.semi_homogeneous(1),)),
+        Neuron("B", 0, (Rule.semi_homogeneous(1),)),
+        Neuron("S", 0, (Rule.semi_homogeneous(1, delay=3),)),
+        Neuron("O", 0, (Rule.semi_homogeneous(1),)),
+    ),
+    frozenset({("A", "B"), ("B", "A"), ("B", "S"), ("S", "O")}),
+    "O",
 )
 
 
@@ -89,20 +105,8 @@ class TestCoSimulate:
         assert not verdict.equivalent
 
     def test_divergence_is_located(self):
-        # a two-tick loop feeds a neuron that stays closed for three ticks:
-        # the original drops every other batch, the rewrite keeps them all
-        hazardous = SnpSystem(
-            (
-                Neuron("A", 1, (Rule.semi_homogeneous(1),)),
-                Neuron("B", 0, (Rule.semi_homogeneous(1),)),
-                Neuron("S", 0, (Rule.semi_homogeneous(1, delay=3),)),
-                Neuron("O", 0, (Rule.semi_homogeneous(1),)),
-            ),
-            frozenset({("A", "B"), ("B", "A"), ("B", "S"), ("S", "O")}),
-            "O",
-        )
         with pytest.warns(BatchOverlapWarning):
-            result = eliminate_delays(hazardous)
+            result = eliminate_delays(HAZARDOUS)
         verdict = co_simulate(result.normalized_source, result.target, 60)
         assert verdict.first_divergence == (9, 1, 2)
         assert verdict.trajectory_equal_through == 8
@@ -179,18 +183,8 @@ def test_halting_compositions_stay_equivalent():
 def test_verify_is_the_rewrite_then_co_simulation():
     # the pair the two calls give, with the source's first event and the
     # tick its run was settled: a lost batch, a halt, a recurrence
-    hazardous = SnpSystem(
-        (
-            Neuron("A", 1, (Rule.semi_homogeneous(1),)),
-            Neuron("B", 0, (Rule.semi_homogeneous(1),)),
-            Neuron("S", 0, (Rule.semi_homogeneous(1, delay=3),)),
-            Neuron("O", 0, (Rule.semi_homogeneous(1),)),
-        ),
-        frozenset({("A", "B"), ("B", "A"), ("B", "S"), ("S", "O")}),
-        "O",
-    )
     cases = [
-        (hazardous, 60, ("lost", "S", 4), 18),
+        (HAZARDOUS, 60, ("lost", "S", 4), 18),
         (generate(Sequential((2, 3))), 200, None, 8),
         (generate(Iteration(3, "second")), 200, None, 11),
     ]
@@ -204,5 +198,37 @@ def test_verify_is_the_rewrite_then_co_simulation():
         assert (verdict.source_event, verdict.source_settled) == (event, settled)
         messages = [str(w.message) for w in caught]
         assert messages == list(expected.hazards) * 2
+    # the verdict passes the kernel's event on as it stands
+    kernel = Kernel(HAZARDOUS)
+    for _ in kernel.ticks(60):
+        pass
+    assert kernel.event == ("lost", "S", 4)
     with pytest.raises(ValueError, match="bound must be >= 0"):
-        verify(hazardous, -1)
+        verify(HAZARDOUS, -1)
+
+
+def test_overlap_warnings_point_at_the_caller():
+    # eliminate_delays and verify warn at the line that calls them, also
+    # when co-simulation meets a tie: here the feeder's spike reaches 2 at
+    # tick 2, where both its rules are enabled
+    tied = SnpSystem(
+        (
+            Neuron("1", 1, (Rule.semi_homogeneous(1, delay=1),)),
+            Neuron("2", 0, (Rule.semi_homogeneous(1), Rule(SpikeRegex.exactly(1), 1))),
+        ),
+        frozenset({("1", "2")}),
+        "2",
+    )
+    cases = [
+        (eliminate_delays, HAZARDOUS, nullcontext()),
+        (verify, HAZARDOUS, nullcontext()),
+        (verify, tied, pytest.raises(NondeterministicChoice)),
+    ]
+    for call, system, raised in cases:
+        with warnings.catch_warnings(record=True) as caught, raised:
+            warnings.simplefilter("always")
+            call(system)
+        assert caught, call
+        for warning in caught:
+            line = linecache.getline(warning.filename, warning.lineno).strip()
+            assert (warning.filename, line) == (__file__, "call(system)")

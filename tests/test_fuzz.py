@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from snpkit.cli import main
 
-from .conftest import SYSTEMS_DIR
+from .conftest import SYSTEMS_DIR, examples
 
 SEED_DOCS = [path.read_bytes() for path in sorted(SYSTEMS_DIR.glob("*.snp"))]
 TOKENS = [b"a", b"^", b"+", b"*", b"(", b")", b"|", b"/", b"->", b";", b"0", b"1", b"2", b"7",
@@ -48,7 +48,7 @@ COMMANDS = [
 ]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
 def test_cli_exits_with_a_documented_code(data):
     assume(_small_numbers(data))

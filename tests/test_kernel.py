@@ -35,6 +35,7 @@ from snpkit.textio import TraceStyle, trace_lines
 
 from .conftest import (
     SYSTEMS_DIR,
+    examples,
     fan_out_systems,
     mostly_recurring,
     periodic_systems,
@@ -122,7 +123,7 @@ def run_frames(system, budget):
 
 
 @given(st.one_of(systems, periodic_systems()), st.integers(0, 300))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 def test_run_matches_reference(system, budget):
     # the kernel's full state at every tick, and any tie, against run's
     assert kernel_frames(system, budget) == run_frames(system, budget)
@@ -179,7 +180,7 @@ def first_proof(system, budget=10**4, gate=None):
     st.sampled_from(["any", "at the proof", "in the period", "far past"]),
     st.data(),
 )
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 def test_frames_match_the_kernel_past_a_proof(system, where, data):
     # the frames computed from one recorded period equal the kernel's, at
     # the budget of the proof itself, inside the period and far past it; a
@@ -254,7 +255,7 @@ def machine_lines(frames):
 
 
 @given(past_a_proof, st.integers(2, 60), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_machine_lines_of_frames_match_the_kernel_far_past_a_proof(system, visits, data):
     # the slot templates of the computed frames print what rendering the
     # kernel's own lists prints, over many visits to each slot of the period
@@ -284,6 +285,19 @@ LATE_LOOP = SnpSystem(
     ),
     frozenset({("A", "B"), ("B", "A")}),
     "A",
+)
+
+# a draw of ``recurring_systems`` that no check proves recurrent: at gate 0
+# or at its neuron count, within 10^6 ticks.  f0 and f1 feed the loop l0 ->
+# l1 -> l2 -> l3 back, and its counts wander: l0 holds 28, 224 and 682
+# spikes at ticks 10^4, 10^5 and 10^6
+NO_PROOF = parse_system(
+    "system no-proof\n"
+    "neuron l0 spikes=1\nrule l0: a+ / a -> a ; 2\nneuron l1\nrule l1: a+ / a -> a ; 2\n"
+    "neuron l2\nrule l2: a+ / a -> a\nneuron l3\nrule l3: a+ / a -> a\n"
+    "neuron f0\nrule f0: (a^2)+ / a^2 -> a\nneuron f1\nrule f1: (a^2)+ / a^2 -> a\n"
+    "syn f0 -> l0\nsyn f1 -> l1\nsyn l0 -> f1\nsyn l0 -> l1\nsyn l1 -> f0\nsyn l1 -> f1\n"
+    "syn l1 -> l2\nsyn l2 -> f0\nsyn l2 -> f1\nsyn l2 -> l3\nsyn l3 -> l0\nout l0\n"
 )
 
 
@@ -386,7 +400,8 @@ def save_schedule_bound(gate, onset, period):
 
 @given(recurring_systems())
 @example(LATE_LOOP)
-@settings(max_examples=100, deadline=None)
+@example(NO_PROOF)
+@settings(max_examples=examples(100), deadline=None)
 def test_each_proof_comes_by_the_bound_of_the_save_schedule(system):
     """Say the reference run's state at tick t recurs the one at s < t, and
     let P = t - s.  Then tick x + P recurs tick x for every x >= s: from t on
@@ -405,10 +420,19 @@ def test_each_proof_comes_by_the_bound_of_the_save_schedule(system):
     neuron's count must first reach its floor.  The pair at the proof itself
     gives exactly the proof's tick, so a schedule that saves later, or whose
     windows grow faster, misses the bound of some pair that the relation
-    meets before its save."""
+    meets before its save.
+
+    A run without a proof within 10^4 ticks, as NO_PROOF's, has no related
+    pair with t <= 300 either: its bound would be at most 510 + 300 for
+    either gate of 12 neurons or fewer."""
     marks = [period_and_floor(neuron.rules) for neuron in system.neurons]
     for gate in (0, len(system.neurons)):
-        proof, _ = first_proof(system, gate=gate)
+        proved = first_proof(system, gate=gate)
+        if proved is None:
+            configs = run(system, 300).configurations
+            assert not any(related(configs, marks, s, t) for t in range(1, 301) for s in range(t)), gate
+            continue
+        proof, _ = proved
         configs = run(system, proof).configurations
         bound = min(
             save_schedule_bound(gate, s, t - s)
@@ -519,7 +543,7 @@ oracle_systems = st.one_of(
 @example(LATE_LOOP, None)
 @example(DIP_WHILE_CLOSED, 0)
 @example(DIP_WHILE_COMPARED, 0)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_recurs_answers_the_relation_on_one_kernel(system, gate):
     # frames' check (gate 0) and the overlap check's (the neuron count):
     # whatever a tick skips or defers, its answer is the relation's
@@ -527,7 +551,7 @@ def test_recurs_answers_the_relation_on_one_kernel(system, gate):
 
 
 @given(oracle_systems, oracle_systems, st.sampled_from([0, None]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_recurs_answers_the_relation_on_a_co_simulated_pair(source, target, gate):
     # a pair is related only where both kernels are, and a halted kernel
     # is compared as it stopped
@@ -573,7 +597,7 @@ LOOP_AFTER_A_DIVERGENCE = parse_system(
 
 @given(past_a_proof, st.one_of(st.sampled_from([1500, 20_000]), st.integers(0, 300)))
 @example(LOOP_AFTER_A_DIVERGENCE, 200)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_the_overlap_check_proves_what_co_simulation_proves(system, bound):
     # every Recurrence whose first kernel runs the source saves at the same
     # ticks, so the overlap check's own proof on the source comes no later
@@ -590,7 +614,7 @@ def test_the_overlap_check_proves_what_co_simulation_proves(system, bound):
 
 
 @given(systems, st.integers(0, 40))
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 def test_env_trajectory_matches_reference(system, bound):
     expected = outcome(run, system, bound)
     if is_tie(expected):
@@ -617,7 +641,7 @@ def assert_matches_reference(source, target, bound):
     mostly_recurring(st.one_of(systems, fan_out_systems())),
     st.one_of(st.integers(41, 300), st.integers(0, 40)),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_co_simulate_matches_reference(source, target, bound):
     # most recurring pairs are settled by a proof within 41-300 ticks, and
     # almost none within 40
@@ -629,7 +653,7 @@ def test_co_simulate_matches_reference(source, target, bound):
     mostly_recurring(st.one_of(periodic_systems(), fan_out_systems())),
     st.integers(0, 300),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_co_simulate_matches_reference_on_long_periodic_runs(source, target, bound):
     # long enough windows for co-simulation to stop early on a repeat or a
     # growth proof, with guards whose periods the proof must respect
@@ -721,6 +745,32 @@ def test_source_tie_is_raised_before_an_earlier_target_tie():
     with pytest.raises(NondeterministicChoice) as err:
         co_simulate(_tie_at(4), _tie_at(2), 10)
     assert (err.value.tick, err.value.system) == (4, "source")
+
+
+def _emits_then_ties(emit, tie=None):
+    """A relay whose output first emits at tick ``emit``, beside
+    ``_tie_at(tie)`` when ``tie`` is given."""
+    neurons = [Neuron(f"e{i}", int(i == 0), (Rule.semi_homogeneous(1),)) for i in range(emit)]
+    synapses = {(a.id, b.id) for a, b in zip(neurons, neurons[1:])}
+    if tie is not None:
+        tied = _tie_at(tie)
+        neurons += tied.neurons
+        synapses |= tied.synapses
+    return SnpSystem(tuple(neurons), frozenset(synapses), f"e{emit - 1}")
+
+
+@pytest.mark.parametrize(
+    "source_tie, target_tie, raised",
+    [(None, 5, (5, "target")), (6, 4, (6, "source"))],
+    ids=["only-the-target-ties", "the-target-ties-first"],
+)
+def test_source_tie_is_raised_first_after_a_divergence_too(source_tie, target_tie, raised):
+    # the pair parts at tick 2, before either tie, and each side runs on
+    # alone, the source first
+    assert co_simulate(_emits_then_ties(2), _emits_then_ties(3), 10).first_divergence == (2, 1, 0)
+    with pytest.raises(NondeterministicChoice) as err:
+        co_simulate(_emits_then_ties(2, source_tie), _emits_then_ties(3, target_tie), 10)
+    assert (err.value.tick, err.value.system) == raised
 
 
 def test_invalid_delayed_rule_is_refused_before_a_tick():

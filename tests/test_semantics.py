@@ -19,7 +19,7 @@ from snpkit import (
 )
 from snpkit.semantics import enabled_rules, initial_configuration
 
-from .conftest import assert_trace_invariants, simple_systems
+from .conftest import assert_trace_invariants, examples, simple_systems
 
 
 def forward(delay=0):
@@ -244,14 +244,14 @@ def test_constructors_store_their_arguments_as_given():
 
 
 @given(simple_systems())
-@settings(max_examples=80)
+@settings(max_examples=examples(80))
 def test_trace_invariants_on_random_systems(system):
     trace = run(system, 40)
     assert_trace_invariants(system, trace)
 
 
 @given(simple_systems())
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 def test_environment_never_decreases(system):
     tr = run(system, 40)
     env = [c.environment for c in tr.configurations]

@@ -30,7 +30,7 @@ from snpkit import (
 from snpkit.cli import main
 from snpkit.textio import parse_guard, render_guard, render_rule
 
-from .conftest import SYSTEMS_DIR, random_system, simple_systems, spike_regexes
+from .conftest import SYSTEMS_DIR, examples, random_system, simple_systems, spike_regexes
 
 RELAY_DOC = """\
 system relay
@@ -247,7 +247,7 @@ class TestTraceRendering:
         assert records[-1] == {"outcome": "halted", "at": 5}
 
     @given(simple_systems(), st.integers(0, 30))
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     def test_machine_records_are_the_json_of_each_configuration(self, system, steps):
         trace = run(system, steps)
         records = [{"system": system.name, "neurons": list(system.ids)}]
