@@ -32,9 +32,10 @@ settings.register_profile("ci", max_examples=CI_EXAMPLES * settings().max_exampl
 
 
 def examples(n: int) -> int:
-    """A property's ``max_examples``: ``n``, and CI_EXAMPLES times ``n``
-    under the ci profile."""
-    return CI_EXAMPLES * n if settings.get_current_profile_name() == "ci" else n
+    """A property's ``max_examples``: ``n`` scaled as the loaded profile
+    scales the default's, so CI_EXAMPLES times ``n`` under the ci profile,
+    also as hypothesis renames it for ``--hypothesis-verbosity``."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 @pytest.fixture

@@ -461,8 +461,8 @@ def late_loop(spikes, idle=0, hops=2):
 
 def late_loss(spikes):
     """A batch lost at tick ``spikes`` + 2: ``acc`` fires once it holds the
-    ``spikes`` spikes ``t`` sends one a tick, and its batch reaches ``d``
-    once directly and once through ``e``, while ``d`` is closed."""
+    ``spikes`` spikes ``t`` sends one a tick, and ``d``, which fires on its
+    batch, is closed when the copy that ``e`` relays reaches it."""
     return parse_system(
         f"system late-loss\nneuron t spikes={spikes}\nrule t: a+ / a -> a\n"
         f"neuron acc\nrule acc: a^{spikes} / a^{spikes} -> a\nneuron e\nrule e: a+ / a -> a\n"

@@ -209,8 +209,8 @@ def test_verify_is_the_rewrite_then_co_simulation():
 
 def test_overlap_warnings_point_at_the_caller():
     # eliminate_delays and verify warn at the line that calls them, also
-    # when co-simulation meets a tie: here the feeder's spike reaches 2 at
-    # tick 2, where both its rules are enabled
+    # when co-simulation meets a tie: here both rules of 2 are enabled by
+    # the spike that reaches it at tick 3
     tied = SnpSystem(
         (
             Neuron("1", 1, (Rule.semi_homogeneous(1, delay=1),)),
