@@ -351,12 +351,12 @@ def batch_hazards(system: SnpSystem) -> list[str]:
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
     try:
-        for _, _, halted in recurrence.settle(kernel.ticks(_HAZARD_TICKS)):
+        for _ in recurrence.settle(kernel.ticks(_HAZARD_TICKS)):
             if kernel.event is not None:
                 return [_hazard(*kernel.event)]
     except NondeterministicChoice as err:
         return [_hazard("tie", err.neuron, err.tick)]
-    return [] if halted or recurrence.proved is not None else [_undecided()]
+    return [] if kernel.halt is not None or recurrence.proved is not None else [_undecided()]
 
 
 def hazards_from_run(

@@ -54,7 +54,8 @@ def env_trajectory(system: SnpSystem, bound: int) -> list[int]:
     """Environment count after each tick, up to halting or ``bound``."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    return [environment for _, environment, _ in Kernel(system).ticks(bound)]
+    kernel = Kernel(system)
+    return [kernel.environment for _ in kernel.ticks(bound)]
 
 
 def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdict:
@@ -67,14 +68,15 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     whole window, extending a halted system's count as constant.
 
     The result is that of a run of both systems to ``bound``, but the run
-    stops once the rest of the window cannot change it.  Until the first
-    divergence both systems run in lock step, a halted side frozen, until
+    stops once the rest of the window cannot change it.  Until the kernels'
+    ``environment``s first part, a lock step that keeps no state advances
+    each side still running, the source first, until both have halted or
     ``Recurrence.settle`` settles the pair.  From a recurrence on, a side
     still running never halts, and each environment gains what it gained
     one period earlier, the same on both sides as they agreed at both ends
     of the period.  After the first divergence each side runs on alone
     until it is settled, the source first; after a tie only the source
-    does, and then the tie is raised.
+    does, and then the tie is raised.  The verdict reads both kernels.
 
     The verdict also records two facts of the source's run that the
     co-simulation has anyway: its first event that the rewrite does not
@@ -93,54 +95,48 @@ def co_simulate(source: SnpSystem, target: SnpSystem, bound: int = 200) -> Verdi
     src, tgt = Kernel(source), Kernel(target)
     src.label, tgt.label = "source", "target"
     src_ticks, tgt_ticks = src.ticks(bound), tgt.ticks(bound)
-    source_halt = target_halt = first_divergence = tie = a = b = None
 
     def lock_step():
-        # a tick of each side still running, the source first, to the first divergence
-        nonlocal a, b, source_halt, target_halt, first_divergence
-        for _ in range(bound + 1):  # ticks 0 to bound
-            if source_halt is None:
-                tick, a, halted = next(src_ticks)
-                if halted:
-                    source_halt = tick
-            if target_halt is None:
-                tick, b, halted = next(tgt_ticks)
-                if halted:
-                    target_halt = tick
-            if a != b:
-                first_divergence = (tick, a, b)
+        for tick in range(bound + 1):  # ticks 0 to bound
+            if src.halt is None:
+                next(src_ticks)
+            if tgt.halt is None:
+                next(tgt_ticks)
+            yield tick
+            if src.halt is not None and tgt.halt is not None:
                 return
-            yield tick, a, source_halt is not None and target_halt is not None
 
+    first_divergence = tie = None
     settling = Recurrence(src, tgt)  # the source first: it saves where the overlap check does
     try:
-        for _ in settling.settle(lock_step()):
-            pass
+        for tick in settling.settle(lock_step()):
+            if src.environment != tgt.environment:
+                first_divergence = (tick, src.environment, tgt.environment)
+                break
     except NondeterministicChoice as err:  # a tied side has no more ticks
         tie = err
     if first_divergence is not None or tie:  # each side runs on alone, the source first
         settling = Recurrence(src)
-        for tick, a, halted in settling.settle(src_ticks):
-            if halted:
-                source_halt = tick
+        for _ in settling.settle(src_ticks):
+            pass
         if tie:  # the source's own error, if any, came first
             raise tie
-        for tick, b, halted in Recurrence(tgt).settle(tgt_ticks):
-            if halted:
-                target_halt = tick
+        for _ in Recurrence(tgt).settle(tgt_ticks):
+            pass
 
+    source_halt, target_halt = src.halt, tgt.halt
     if source_halt is None and target_halt is None:
         r1 = r2 = None
     else:
         r1 = source_halt is not None and source_halt == target_halt
-        r2 = source_halt is not None and target_halt is not None and a == b
+        r2 = source_halt is not None and target_halt is not None and src.environment == tgt.environment
     return Verdict(
         source_halt=source_halt,
         target_halt=target_halt,
         r1_holds=r1,
         r2_holds=r2,
-        source_env_at_halt=a if source_halt is not None else None,
-        target_env_at_halt=b if target_halt is not None else None,
+        source_env_at_halt=src.environment if source_halt is not None else None,
+        target_env_at_halt=tgt.environment if target_halt is not None else None,
         trajectory_equal_through=bound if first_divergence is None else first_divergence[0] - 1,
         first_divergence=first_divergence,
         bound=bound,

@@ -193,9 +193,6 @@ class SnpSystem(Frozen, _SnpSystem):
         ``validate``."""
         return _issues(self)
 
-    def neuron(self, neuron_id: str) -> Neuron:
-        return self.neurons[self.index[neuron_id]]
-
 
 # --- structural validation -------------------------------------------------
 #

@@ -209,8 +209,10 @@ class Kernel:
     ``(neuron index, rule)`` pairs that fired on the way to it, each also
     touched: only a firing lowers a count.
 
-    A malformed system is refused with ValidationError when the kernel is
-    built, so a tick trusts every rule it fires.
+    ``environment`` is the count the output neuron has sent out by the
+    yielded tick, and ``halt`` that tick once it is the halting one, else
+    None.  A malformed system is refused with ValidationError when the
+    kernel is built, so a tick trusts every rule it fires.
 
     ``event`` is ``(kind, neuron id, tick)`` of the first of two events
     the run meets, or None: ``"lost"`` when a spike batch reaches a closed
@@ -228,17 +230,19 @@ class Kernel:
         self.spikes = [n.initial_spikes for n in neurons]
         self.countdown = [0] * len(neurons)
         self.pending = [0] * len(neurons)
+        self.environment = 0
+        self.halt: int | None = None
         self.event: tuple[str, str, int] | None = None
         self.label: str | None = None
 
-    def ticks(self, max_steps: int) -> Iterator[tuple[int, int, bool]]:
-        """Advance the state in place, yielding ``(tick, environment, halted)``
-        once for each configuration from tick 0.
+    def ticks(self, max_steps: int) -> Iterator[int]:
+        """Advance the state in place, yielding the tick of each
+        configuration from tick 0.
 
-        The last item is the first halting configuration (``halted`` true) or
-        the one at tick ``max_steps``, whichever comes first.  The state
-        lists, ``touched`` and ``fired`` hold the yielded configuration until
-        the generator is resumed.
+        The last tick is that of the first halting configuration (``halt``)
+        or ``max_steps``, whichever comes first.  The state lists,
+        ``environment``, ``touched`` and ``fired`` hold the yielded
+        configuration until the generator is resumed.
 
         Raises NondeterministicChoice, like ``step``, when a tick to be
         computed would start with several rules enabled in one neuron.
@@ -249,7 +253,6 @@ class Kernel:
         closed: list[int] = []
         dirty = set(range(len(spikes)))  # open neurons to check
         firing: list[tuple[int, Rule]] = []
-        environment = 0
         tick = 0
         while True:
             self.touched, self.fired = (closed, dirty), firing
@@ -272,9 +275,10 @@ class Kernel:
                     chosen = rule
                 if chosen is not None:
                     firing.append((i, chosen))
-            halted = not closed and not firing
-            yield tick, environment, halted
-            if halted or tick >= max_steps:
+            if not closed and not firing:
+                self.halt = tick
+            yield tick
+            if self.halt is not None or tick >= max_steps:
                 return
             if ties:  # ``step`` meets the lowest tied neuron first
                 raise NondeterministicChoice(ids[min(ties)], tick + 1, self.label)
@@ -311,7 +315,7 @@ class Kernel:
                     elif event is None:
                         event = self.event = ("lost", ids[target], tick + 1)
                 if origin == output:
-                    environment += batch
+                    self.environment += batch
             tick += 1
 
 
@@ -391,18 +395,19 @@ class Recurrence:
         self.checked = 0
         self.compared = 0
 
-    def settle(self, ticks: Iterator[tuple[int, int, bool]]) -> Iterator[tuple[int, int, bool]]:
-        """Re-yield ``ticks``, the ``(tick, environment, halted)`` stream of
-        the kernels watched, until their run is settled: after the halting
-        item, at the stream's end (its budget), or at the first item that
-        ``recurs``.  Checks start at the gate (at once for a stream past it),
-        so with the default gate a run that halts before the largest neuron
-        count pays for none.  An item is checked when the caller asks for
-        the next, after the caller's own exits on it."""
+    def settle(self, ticks: Iterator[int]) -> Iterator[int]:
+        """Re-yield ``ticks``, the ticks of the kernels watched, until the
+        first that ``recurs`` or the stream's end, after the halting tick or
+        at the budget: a tick at which every kernel has halted never recurs,
+        since a kernel halted there would have halted by the saved tick.
+        Checks start at the gate (at once for a stream past it), so with the
+        default gate a run that halts before the largest neuron count pays
+        for none.  A tick is checked when the caller asks for the next, after
+        the caller's own exits on it."""
         gate = self.gate
-        for item in ticks:
-            yield item
-            if item[2] or (item[0] >= gate and self.recurs(item[0])):
+        for tick in ticks:
+            yield tick
+            if tick >= gate and self.recurs(tick):
                 return
 
     def recurs(self, tick: int) -> bool:
@@ -494,8 +499,8 @@ class KeptPeriod(NamedTuple):
 def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
     """The run to the first halting configuration or tick ``max_steps``:
     every configuration the kernel computes up to a recurrence proof as a
-    frame ``(tick, spikes, countdown, pending, environment, halted)``, then
-    at most one ``KeptPeriod`` for the rest.
+    frame ``(tick, spikes, countdown, pending, environment, halted)``, read
+    off the kernel, then at most one ``KeptPeriod`` for the rest.
 
     The kernel runs until ``Recurrence.settle``, checking from tick 0,
     settles it.  After a proof at tick t with period P, when t is before
@@ -514,15 +519,15 @@ def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
     spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
     recurrence = Recurrence(kernel, gate=0)
     ticks = kernel.ticks(2 * max_steps)
-    for tick, environment, halted in recurrence.settle(ticks):
-        yield tick, spikes, countdown, pending, environment, halted
+    for tick in recurrence.settle(ticks):
+        yield tick, spikes, countdown, pending, kernel.environment, kernel.halt is not None
         if tick == max_steps:
             return
     if recurrence.proved is not None:
-        before, before_env = spikes.copy(), environment
+        before, before_env = spikes.copy(), kernel.environment
         kept = tuple(
-            (tick, tuple(spikes), tuple(countdown), tuple(pending), environment)
-            for tick, environment, _ in islice(ticks, recurrence.period)
+            (tick, tuple(spikes), tuple(countdown), tuple(pending), kernel.environment)
+            for tick in islice(ticks, recurrence.period)
         )
         grown = tuple(i for i, (k, b) in enumerate(zip(spikes, before)) if k != b)
         growth = tuple(spikes[i] - before[i] for i in grown)

@@ -68,8 +68,8 @@ class TestNormalizeInitial:
         system = generate(Iteration(3, "first"))
         normalized, feeders = normalize_initial(system)
         assert feeders == ("11-in",)
-        assert normalized.neuron("11-in").initial_spikes == 1
-        assert normalized.neuron("11").initial_spikes == 0
+        assert normalized.neurons[normalized.index["11-in"]].initial_spikes == 1
+        assert normalized.neurons[normalized.index["11"]].initial_spikes == 0
         assert ("11-in", "11") in normalized.synapses
         # events shift by exactly one tick behind the raw system
         raw = env_trajectory(system, 30)
@@ -88,7 +88,7 @@ class TestNormalizeInitial:
         )
         normalized, feeders = normalize_initial(system)
         assert len(feeders) == 2
-        assert all(normalized.neuron(f).initial_spikes == 1 for f in feeders)
+        assert all(normalized.neurons[normalized.index[f]].initial_spikes == 1 for f in feeders)
         result = transform_quietly(system)
         verdict = co_simulate(result.normalized_source, result.target, 100)
         assert verdict.equivalent

@@ -20,10 +20,13 @@ from snpkit import (
     SnpSystem,
     SpikeRegex,
     UnsupportedDelayedRule,
+    Sequential,
     ValidationError,
     batch_hazards,
     co_simulate,
+    eliminate_delays,
     env_trajectory,
+    generate,
     parse_system,
     run,
     step,
@@ -92,9 +95,16 @@ def kernel_frames(system, budget):
     kernel = Kernel(system)
     frames = []
     try:
-        for tick, environment, halted in kernel.ticks(budget):
+        for tick in kernel.ticks(budget):
             frames.append(
-                (tick, kernel.spikes.copy(), kernel.countdown.copy(), kernel.pending.copy(), environment, halted)
+                (
+                    tick,
+                    kernel.spikes.copy(),
+                    kernel.countdown.copy(),
+                    kernel.pending.copy(),
+                    kernel.environment,
+                    kernel.halt is not None,
+                )
             )
     except NondeterministicChoice as tie:
         frames.append(("tie", tie.neuron, tie.tick))
@@ -167,8 +177,8 @@ def first_proof(system, budget=10**4, gate=None):
     kernel = Kernel(system)
     recurrence = Recurrence(kernel, gate=gate)
     try:
-        for tick, _, halted in kernel.ticks(budget):
-            if not halted and tick >= recurrence.gate and recurrence.recurs(tick):
+        for tick in kernel.ticks(budget):
+            if tick >= recurrence.gate and recurrence.recurs(tick):
                 return tick, recurrence.period
     except NondeterministicChoice:
         pass
@@ -205,9 +215,9 @@ def test_frames_stop_the_kernel_one_period_after_the_proof(monkeypatch):
     ticks, advanced = Kernel.ticks, []
 
     def counted(kernel, max_steps):
-        for item in ticks(kernel, max_steps):
-            advanced.append(item[0])
-            yield item
+        for tick in ticks(kernel, max_steps):
+            advanced.append(tick)
+            yield tick
 
     monkeypatch.setattr(Kernel, "ticks", counted)
     *live, period = frames(system, 10**5)
@@ -306,8 +316,8 @@ def proof_from(system, start, budget=10**4):
     ``start`` and on every tick after it; None when the run halts first."""
     kernel = Kernel(system)
     recurrence = Recurrence(kernel)
-    for tick, _, halted in kernel.ticks(budget):
-        if not halted and tick >= start and recurrence.recurs(tick):
+    for tick in kernel.ticks(budget):
+        if tick >= start and recurrence.recurs(tick):
             return tick
     return None
 
@@ -355,7 +365,7 @@ def test_every_check_saves_on_the_schedule_of_its_first_kernel(idle, start, gate
         next(other.ticks(0))  # halted at tick 0, as co-simulation leaves it
     recurrence = Recurrence(kernel, *others, gate=gate)
     saved = []
-    for tick, _, _ in kernel.ticks(200):
+    for tick in kernel.ticks(200):
         if tick >= start:
             if recurrence.recurs(tick):
                 break
@@ -476,25 +486,28 @@ def reference_configurations(system, budget):
 
 
 def lock_step(kernels, budget):
-    """``(tick, halted)`` of kernels advanced as co-simulation advances a
-    pair: each kernel that still runs yields the tick, a halted one stays as
-    it stopped, and ``halted`` is true once every kernel has halted."""
+    """The ticks of kernels advanced as co-simulation advances a pair: each
+    kernel that still runs yields the tick, a halted one stays as it
+    stopped, and the stream ends after the tick at which every kernel has
+    halted."""
     streams = [kernel.ticks(budget) for kernel in kernels]
-    stopped = [False] * len(kernels)
     for tick in range(budget + 1):
-        for j, stream in enumerate(streams):
-            if not stopped[j]:
-                stopped[j] = next(stream)[2]
-        yield tick, all(stopped)
+        for kernel, stream in zip(kernels, streams):
+            if kernel.halt is None:
+                next(stream)
+        yield tick
+        if all(kernel.halt is not None for kernel in kernels):
+            return
 
 
 def checked_against_the_relation(systems, gate, budget=300):
     """Call ``recurs`` on kernels of ``systems`` in lock step on every tick
-    from the gate until a proof, a halt of all or a tie, as ``settle``
-    does, and assert that each answer is ``related`` on every reference run
-    against the last save.  The saves are derived here: the ticks 2^m - 2
-    from the gate on, where the gate is the largest neuron count unless
-    ``gate`` gives another."""
+    from the gate until a proof, the tick at which every kernel has halted
+    or a tie, as ``settle`` does, and assert that each answer is ``related``
+    on every reference run against the last save, and False at that halting
+    tick.  The saves are derived here: the ticks 2^m - 2 from the gate on,
+    where the gate is the largest neuron count unless ``gate`` gives
+    another."""
     kernels = [Kernel(system) for system in systems]
     recurrence = Recurrence(*kernels, gate=gate)
     marks = [[period_and_floor(neuron.rules) for neuron in system.neurons] for system in systems]
@@ -506,15 +519,16 @@ def checked_against_the_relation(systems, gate, budget=300):
     schedule = {2**m - 2 for m in range(1, budget.bit_length() + 2)}
     saved = None
     try:
-        for tick, halted in lock_step(kernels, budget):
-            if halted:
-                return
+        for tick in lock_step(kernels, budget):
             if tick < start:
                 continue
             expected = saved is not None and all(
                 related(configs, neurons, saved, tick) for configs, neurons in zip(runs, marks)
             )
             assert recurrence.recurs(tick) is expected, (tick, saved)
+            if all(kernel.halt is not None for kernel in kernels):
+                assert not expected, (tick, saved)  # settle relies on it to stop
+                return
             if expected:
                 assert recurrence.period == tick - saved
                 return
@@ -856,6 +870,31 @@ def test_co_simulation_memory_does_not_grow_with_the_bound(monkeypatch):
         assert verdict.source_halt is None and verdict.first_divergence is None
         assert yielded == 2 * (bound + 1)  # both sides, ticks 0..bound
     assert peaks[1] < peaks[0] * 1.5 + 4096, peaks
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        *(parse_system((SYSTEMS_DIR / f"{name}.snp").read_text()) for name in ("relay", "sequential-d3", "two-delays")),
+        generate(Sequential((1,) * 40)),
+    ],
+    ids=["relay", "sequential-d3", "two-delays", "chain-40"],
+)
+def test_co_simulation_checks_no_tick_past_the_halt_of_both(monkeypatch, system):
+    # the lock step ends once both sides have halted: a halted pair never
+    # recurs, so checking it tick after tick would only waste the window
+    result = eliminate_delays(system)
+    recurs, checked = Recurrence.recurs, []
+
+    def counted(recurrence, tick):
+        checked.append(tick)
+        return recurs(recurrence, tick)
+
+    monkeypatch.setattr(Recurrence, "recurs", counted)
+    verdict = co_simulate(result.normalized_source, result.target, 20_000)
+    assert verdict.equivalent and verdict.source_halt == verdict.target_halt
+    assert checked == sorted(set(checked)), "at most one check a tick"
+    assert all(tick <= verdict.source_halt for tick in checked), checked
 
 
 def test_growth_above_every_guard_offset_stops_co_simulation():

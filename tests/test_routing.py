@@ -20,7 +20,7 @@ def test_sequential_single_delay():
     system = generate(Sequential((3,)))
     assert system.ids == ("11", "12")
     assert system.output == "12"
-    assert system.neuron("12").rules == (Rule.semi_homogeneous(1, delay=3),)
+    assert system.neurons[system.index["12"]].rules == (Rule.semi_homogeneous(1, delay=3),)
     assert sum(n.initial_spikes for n in system.neurons) == 1
     assert validate(system) == []
 
@@ -36,7 +36,7 @@ def test_join_holds_two_spikes():
     system = generate(Join(3))
     assert len(system.neurons) == 3
     assert sum(n.initial_spikes for n in system.neurons) == 2
-    collector = system.neuron("13")
+    collector = system.neurons[system.index["13"]]
     assert collector.rules == (Rule(SpikeRegex.multiples(2), 2, 1, 3),)
     assert system.output == "13"
 
@@ -44,23 +44,23 @@ def test_join_holds_two_spikes():
 def test_split_branch_delays():
     system = generate(Split(d_left=3))
     assert system.ids == ("3", "4", "5", "o")
-    assert system.neuron("4").rules[0].delay == 3
-    assert system.neuron("5").rules[0].delay == 0
+    assert system.neurons[system.index["4"]].rules[0].delay == 3
+    assert system.neurons[system.index["5"]].rules[0].delay == 0
     trace = run(system, 50)
     assert trace.final.environment == 2  # both branches reach the environment
 
     both = generate(Split(d_left=2, d_right=4))
-    assert both.neuron("4").rules[0].delay == 2
-    assert both.neuron("5").rules[0].delay == 4
+    assert both.neurons[both.index["4"]].rules[0].delay == 2
+    assert both.neurons[both.index["5"]].rules[0].delay == 4
 
 
 def test_iteration_placements():
     second = generate(Iteration(2, "second"))
-    assert second.neuron("11").rules[0].delay == 0
-    assert second.neuron("12").rules[0].delay == 2
+    assert second.neurons[second.index["11"]].rules[0].delay == 0
+    assert second.neurons[second.index["12"]].rules[0].delay == 2
     first = generate(Iteration(2, "first"))
-    assert first.neuron("11").rules[0].delay == 2
-    assert first.neuron("12").rules[0].delay == 0
+    assert first.neurons[first.index["11"]].rules[0].delay == 2
+    assert first.neurons[first.index["12"]].rules[0].delay == 0
     assert second.synapses == {("11", "12"), ("12", "11")}
 
 

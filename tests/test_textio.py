@@ -132,7 +132,7 @@ class TestParsing:
     def test_forgetting_and_exponents(self):
         doc = "neuron 1 spikes=3\nrule 1: a^3 / a^3 -> 0\nout 1\n"
         system = parse_system(doc)
-        assert system.neuron("1").rules == (Rule(SpikeRegex.exactly(3), 3, 0, 0),)
+        assert system.neurons[system.index["1"]].rules == (Rule(SpikeRegex.exactly(3), 3, 0, 0),)
 
 
 class TestGuardSyntax:
