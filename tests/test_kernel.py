@@ -17,10 +17,10 @@ from snpkit import (
     Neuron,
     NondeterministicChoice,
     Rule,
+    Sequential,
     SnpSystem,
     SpikeRegex,
     UnsupportedDelayedRule,
-    Sequential,
     ValidationError,
     batch_hazards,
     co_simulate,
