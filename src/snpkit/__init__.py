@@ -20,6 +20,7 @@ from .model import Neuron, Rule, SnpSystem, SpikeRegex, ValidationError, validat
 from .routing import Iteration, Join, Sequential, Split, compose, generate
 from .semantics import (
     Configuration,
+    Kernel,
     NeuronState,
     NondeterministicChoice,
     Trace,
@@ -36,6 +37,7 @@ __all__ = [
     "Configuration",
     "Iteration",
     "Join",
+    "Kernel",
     "Neuron",
     "NeuronState",
     "NondeterministicChoice",

@@ -8,7 +8,6 @@ and the parked emission is released the moment it reopens.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import lcm
 from typing import Iterator, NamedTuple
 
@@ -193,21 +192,22 @@ def run(system: SnpSystem, max_steps: int) -> Trace:
 class Kernel:
     """The event-driven engine behind every command, tested against ``run``.
 
-    The kernel fires each neuron's own ``Rule``s along the system's successor
-    indices.  The state is three integer lists in declaration order:
-    ``spikes``, ``countdown`` (ticks until the neuron reopens, 0 while open)
-    and ``pending`` (the parked emission, 0 while open).
+    A kernel is one run.  The kernel fires each neuron's own ``Rule``s along
+    the system's successor indices.  The state is three integer lists in
+    declaration order: ``spikes``, ``countdown`` (ticks until the neuron
+    reopens, 0 while open) and ``pending`` (the parked emission, 0 while
+    open).  ``tick`` is the tick of the configuration they hold once one
+    is yielded, else None; every ``ticks`` call continues the run from it.
 
     A tick touches only the closed neurons and the open neurons whose spike
     count changed since they were last checked, which ``touched`` holds
-    while a configuration is yielded, as the list of closed neurons and the
-    set of open ones to check; every other open neuron was found to have no
-    enabled rule at the count it still holds.  The same check decides
-    halting: a configuration halts when no neuron is closed and no checked
-    neuron has an enabled rule.  Every neuron whose state changed on the
-    way to a configuration is touched at it.  ``fired`` holds the
-    ``(neuron index, rule)`` pairs that fired on the way to it, each also
-    touched: only a firing lowers a count.
+    as the list of closed neurons and the set of open ones to check; every
+    other open neuron was found to have no enabled rule at the count it
+    still holds.  The same check decides halting: a configuration halts
+    when no neuron is closed and no checked neuron has an enabled rule.
+    Every neuron whose state changed on the way to a configuration is
+    touched at it.  ``fired`` holds the ``(neuron index, rule)`` pairs that
+    fired on the way to it, each also touched: only a firing lowers a count.
 
     ``environment`` is the count the output neuron has sent out by the
     yielded tick, and ``halt`` that tick once it is the halting one, else
@@ -234,28 +234,36 @@ class Kernel:
         self.halt: int | None = None
         self.event: tuple[str, str, int] | None = None
         self.label: str | None = None
+        self.tick: int | None = None
+        self.touched: tuple[list[int], set[int]] = ([], set(range(len(neurons))))
+        self.fired: list[tuple[int, Rule]] = []
 
     def ticks(self, max_steps: int) -> Iterator[int]:
         """Advance the state in place, yielding the tick of each
-        configuration from tick 0.
+        configuration of the run not yet yielded: from tick 0 on a new
+        kernel, and from the tick after the last one yielded on every later
+        call, which continues the same run.
 
         The last tick is that of the first halting configuration (``halt``)
-        or ``max_steps``, whichever comes first.  The state lists,
-        ``environment``, ``touched`` and ``fired`` hold the yielded
-        configuration until the generator is resumed.
+        or ``max_steps``, whichever comes first, so a halted kernel yields
+        nothing more.  The state lists, ``environment``, ``tick``,
+        ``touched`` and ``fired`` hold the yielded configuration until a
+        stream resumes.  A stream resumed after another one has moved the
+        kernel on ends without a tick.
 
         Raises NondeterministicChoice, like ``step``, when a tick to be
-        computed would start with several rules enabled in one neuron.
+        computed would start with several rules enabled in one neuron, and
+        again on each later call whose budget reaches that tick.  Raises
+        ValueError for a negative ``max_steps`` when first advanced.
         """
+        if max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         rules, successors, output, ids = self.rules, self.successors, self.output, self.ids
         spikes, countdown, pending = self.spikes, self.countdown, self.pending
         event = self.event
-        closed: list[int] = []
-        dirty = set(range(len(spikes)))  # open neurons to check
-        firing: list[tuple[int, Rule]] = []
-        tick = 0
+        closed, dirty = self.touched  # a resumed run re-checks its open neurons
+        tick = 0 if self.tick is None else self.tick
         while True:
-            self.touched, self.fired = (closed, dirty), firing
             firing = []
             ties = []
             for i in dirty:
@@ -275,10 +283,12 @@ class Kernel:
                     chosen = rule
                 if chosen is not None:
                     firing.append((i, chosen))
-            if not closed and not firing:
-                self.halt = tick
-            yield tick
-            if self.halt is not None or tick >= max_steps:
+            if tick != self.tick:  # not yet yielded
+                if not closed and not firing:
+                    self.halt = tick
+                self.tick, self.touched = tick, (closed, dirty)
+                yield tick
+            if self.halt is not None or tick >= max_steps or tick != self.tick:
                 return
             if ties:  # ``step`` meets the lowest tied neuron first
                 raise NondeterministicChoice(ids[min(ties)], tick + 1, self.label)
@@ -316,6 +326,7 @@ class Kernel:
                         event = self.event = ("lost", ids[target], tick + 1)
                 if origin == output:
                     self.environment += batch
+            self.fired = firing
             tick += 1
 
 
@@ -502,24 +513,23 @@ def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
     frame ``(tick, spikes, countdown, pending, environment, halted)``, read
     off the kernel, then at most one ``KeptPeriod`` for the rest.
 
-    The kernel runs until ``Recurrence.settle``, checking from tick 0,
-    settles it.  After a proof at tick t with period P, when t is before
-    ``max_steps``, it runs P more ticks, keeps their frames, and stops.
-    Ticks from t + 1 to ``max_steps`` come as one ``KeptPeriod`` that holds
-    those P frames and what each visit adds to them: such a run never halts
-    and meets no tie after t.  The kernel's own budget is twice
-    ``max_steps``, so it always has room for them: P <= t.
+    ``Recurrence.settle``, checking from tick 0, settles the kernel's ticks
+    to ``max_steps``.  After a proof at tick t with period P, when t is
+    before ``max_steps``, the same kernel resumes to tick t + P, keeps
+    those P frames, and stops.  Ticks from t + 1 to ``max_steps`` come as
+    one ``KeptPeriod`` that holds those P frames and what each visit adds
+    to them: such a run never halts and meets no tie after t.
 
     A frame's counts, countdown and pending are the kernel's live lists,
     valid until the generator is resumed.  Memory is the kernel's state
     until a proof and one period of frames after it, whatever
-    ``max_steps``.  Raises NondeterministicChoice as ``Kernel.ticks`` does.
+    ``max_steps``.  Raises NondeterministicChoice, and ValueError for a
+    negative ``max_steps``, as ``Kernel.ticks`` does.
     """
     kernel = Kernel(system)
     spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
     recurrence = Recurrence(kernel, gate=0)
-    ticks = kernel.ticks(2 * max_steps)
-    for tick in recurrence.settle(ticks):
+    for tick in recurrence.settle(kernel.ticks(max_steps)):
         yield tick, spikes, countdown, pending, kernel.environment, kernel.halt is not None
         if tick == max_steps:
             return
@@ -527,7 +537,7 @@ def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
         before, before_env = spikes.copy(), kernel.environment
         kept = tuple(
             (tick, tuple(spikes), tuple(countdown), tuple(pending), kernel.environment)
-            for tick in islice(ticks, recurrence.period)
+            for tick in kernel.ticks(recurrence.proved + recurrence.period)
         )
         grown = tuple(i for i, (k, b) in enumerate(zip(spikes, before)) if k != b)
         growth = tuple(spikes[i] - before[i] for i in grown)

@@ -89,26 +89,35 @@ def reference_verdict(source, target, bound):
     }
 
 
-def kernel_frames(system, budget):
-    """Every configuration the kernel yields, as ``(tick, spikes, countdown,
-    pending, environment, halted)``, then the tie that stopped it, if any."""
-    kernel = Kernel(system)
-    frames = []
-    try:
-        for tick in kernel.ticks(budget):
-            frames.append(
-                (
-                    tick,
-                    kernel.spikes.copy(),
-                    kernel.countdown.copy(),
-                    kernel.pending.copy(),
-                    kernel.environment,
-                    kernel.halt is not None,
+def kernel_run(system, *budgets):
+    """A kernel of ``system`` after one ``ticks`` call per budget, and every
+    configuration the calls yield, as ``(tick, spikes, countdown, pending,
+    environment, halted)``, then the tie that stopped the run, if any.  Each
+    later call whose budget reaches the tie's tick must raise it again."""
+    kernel, frames, tie = Kernel(system), [], None
+    for budget in budgets:
+        try:
+            for tick in kernel.ticks(budget):
+                frames.append(
+                    (
+                        tick,
+                        kernel.spikes.copy(),
+                        kernel.countdown.copy(),
+                        kernel.pending.copy(),
+                        kernel.environment,
+                        kernel.halt is not None,
+                    )
                 )
-            )
-    except NondeterministicChoice as tie:
-        frames.append(("tie", tie.neuron, tie.tick))
-    return frames
+            assert tie is None or budget < tie[1], "a call after a tie ran on"
+        except NondeterministicChoice as err:
+            assert tie in (None, (err.neuron, err.tick))
+            tie = (err.neuron, err.tick)
+    return kernel, frames + ([("tie", *tie)] if tie else [])
+
+
+def kernel_frames(system, budget):
+    """The configurations and the tie of ``kernel_run`` to ``budget``."""
+    return kernel_run(system, budget)[1]
 
 
 def run_frames(system, budget):
@@ -753,6 +762,63 @@ def test_lowest_tied_neuron_is_reported():
     frames = kernel_frames(system, 5)
     assert frames == run_frames(system, 5)
     assert frames[-1] == ("tie", "p", 1)
+
+
+def test_a_second_ticks_call_continues_the_run():
+    # relay's run halts at tick 5 with one spike sent out; a second call
+    # used to restart the check on the moved state and halt it at tick 0
+    # with neuron 2 still closed
+    kernel = Kernel(parse_system((SYSTEMS_DIR / "relay.snp").read_text()))
+    assert list(kernel.ticks(2)) == [0, 1, 2] and kernel.countdown == [0, 2, 0]
+    assert list(kernel.ticks(20)) == [3, 4, 5]
+    assert (kernel.tick, kernel.halt, kernel.environment, kernel.countdown) == (5, 5, 1, [0, 0, 0])
+    assert list(kernel.ticks(20)) == []  # a halted kernel yields nothing more
+
+
+@given(
+    st.one_of(simple_systems(), two_rule_systems(), periodic_systems(), fan_out_systems(), recurring_systems()),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+@example(_tie_at(3), 3, 10)  # the second call raises the tie again
+@example(_tie_at(3), 10, 2)  # and one that stops short of it yields nothing
+@settings(max_examples=examples(300), deadline=None)
+def test_a_budget_split_across_two_ticks_calls_is_one_run(system, first, second):
+    # the second call yields the ticks after the first call's last, up to
+    # its own budget, and meets the tie of the one call again; below the
+    # first budget it yields nothing
+    whole, expected = kernel_run(system, max(first, second))
+    split, frames = kernel_run(system, first, second)
+    assert frames == expected == run_frames(system, max(first, second))
+    fields = ("tick", "environment", "halt", "event", "spikes", "countdown", "pending")
+    assert [getattr(split, f) for f in fields] == [getattr(whole, f) for f in fields]
+
+
+def test_a_stream_left_behind_by_a_newer_one_ends():
+    # the kernel holds one run: a stream that another has moved past the
+    # tick it yielded ends without a tick, and a newer stream that moved
+    # nothing leaves the older one running
+    kernel = Kernel(parse_system((SYSTEMS_DIR / "relay.snp").read_text()))
+    older = kernel.ticks(20)
+    assert next(older) == 0
+    assert list(kernel.ticks(0)) == []
+    assert next(older) == 1
+    assert list(kernel.ticks(3)) == [2, 3]
+    assert list(older) == [] and kernel.tick == 3
+    assert list(kernel.ticks(20)) == [4, 5] and kernel.halt == 5
+
+
+def test_a_negative_budget_is_refused_everywhere_the_kernel_runs():
+    system = parse_system((SYSTEMS_DIR / "relay.snp").read_text())
+    for call, name in (
+        (lambda: next(Kernel(system).ticks(-3)), "max_steps"),
+        (lambda: next(frames(system, -1)), "max_steps"),
+        (lambda: run(system, -1), "max_steps"),
+        (lambda: env_trajectory(system, -1), "bound"),
+        (lambda: co_simulate(system, system, -1), "bound"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            call()
 
 
 def test_source_tie_is_raised_before_an_earlier_target_tie():
