@@ -76,14 +76,14 @@ def _cmd_transform(args) -> int:
         Path(args.out).write_text(document)
     for line in _accounting(result):
         print(line)
-    if args.provenance:
+    if args.provenance:  # "id <- source (role)" for each target neuron, in order
+        source = result.normalized_source
+        origin = {f: f"{source.ids[source.successors[source.index[f]][0]]} (feeder)" for f in result.feeders}
+        for nid, (*multipliers, drain, exit_) in result.gadgets.items():
+            origin.update((m, f"{nid} (multiplier {i})") for i, m in enumerate(multipliers, start=1))
+            origin[drain], origin[exit_] = f"{nid} (drain)", f"{nid} (exit)"
         for nid in result.target.ids:
-            p = result.provenance[nid]
-            if p.copied:
-                print(f"{nid} <- {p.source} (copied)")
-            else:
-                role = f"{p.role} {p.index}" if p.role == "multiplier" else p.role
-                print(f"{nid} <- {p.source} ({role})")
+            print(f"{nid} <- {origin.get(nid, f'{nid} (copied)')}")
     if not args.out:
         print()
         print(document, end="")

@@ -28,7 +28,7 @@ import functools
 import warnings
 from typing import Iterable, NamedTuple
 
-from .model import Frozen, Neuron, Rule, SnpSystem, SpikeRegex, check
+from .model import Neuron, Rule, SnpSystem, SpikeRegex, check
 from .semantics import Kernel, NondeterministicChoice, Recurrence
 
 
@@ -86,20 +86,10 @@ class IdAllocator:
         return candidate
 
 
-class Provenance(NamedTuple):
-    """Where a target neuron comes from: a verbatim copy (role None) or a
-    named part of the subnet replacing ``source``."""
+class TransformResult(NamedTuple):
+    """The rewrite of a source: its target, how it was built, and the
+    overlap warnings."""
 
-    source: str
-    role: str | None = None  # None | "feeder" | "multiplier" | "drain" | "exit"
-    index: int = 0  # 1-based position for multipliers
-
-    @property
-    def copied(self) -> bool:
-        return self.role is None
-
-
-class _TransformResult(NamedTuple):
     normalized_source: SnpSystem
     target: SnpSystem
     feeders: tuple[str, ...]
@@ -110,32 +100,6 @@ class _TransformResult(NamedTuple):
     delays: tuple[int, ...]
     added_count: int
     hazards: tuple[str, ...] = ()
-
-
-class TransformResult(Frozen, _TransformResult):
-    """The rewrite of a source: its target, how it was built, and the
-    overlap warnings.  Without ``__slots__``, so that ``provenance`` has an
-    instance dict to be cached in."""
-
-    @functools.cached_property
-    def provenance(self) -> dict[str, Provenance]:
-        """Where each target neuron comes from, in the target's order; built
-        on first read from the feeders and the subnets."""
-        source = self.normalized_source
-        ids = source.ids
-        feeds = {f: ids[source.successors[source.index[f]][0]] for f in self.feeders}
-        provenance: dict[str, Provenance] = {}
-        for nid in ids:
-            gadget = self.gadgets.get(nid)
-            if gadget is None:
-                provenance[nid] = Provenance(feeds[nid], "feeder") if nid in feeds else Provenance(nid)
-                continue
-            *multipliers, drain, exit_ = gadget
-            for i, m in enumerate(multipliers, start=1):
-                provenance[m] = Provenance(nid, "multiplier", i)
-            provenance[drain] = Provenance(nid, "drain")
-            provenance[exit_] = Provenance(nid, "exit")
-        return provenance
 
 
 def check_count_law(result: TransformResult) -> bool:

@@ -254,7 +254,9 @@ class Kernel:
         Raises NondeterministicChoice, like ``step``, when a tick to be
         computed would start with several rules enabled in one neuron, and
         again on each later call whose budget reaches that tick.  Raises
-        ValueError for a negative ``max_steps`` when first advanced.
+        ValueError for a negative ``max_steps`` when first advanced; a
+        malformed system has raised ValidationError before that, when the
+        kernel was built.
         """
         if max_steps < 0:
             raise ValueError("max_steps must be >= 0")
@@ -523,9 +525,12 @@ def frames(system: SnpSystem, max_steps: int) -> Iterator[tuple]:
     A frame's counts, countdown and pending are the kernel's live lists,
     valid until the generator is resumed.  Memory is the kernel's state
     until a proof and one period of frames after it, whatever
-    ``max_steps``.  Raises NondeterministicChoice, and ValueError for a
-    negative ``max_steps``, as ``Kernel.ticks`` does.
+    ``max_steps``.  Raises NondeterministicChoice as ``Kernel.ticks``
+    does; when first advanced, ValueError for a negative ``max_steps``
+    comes before ValidationError for a malformed ``system``, as in ``run``.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     kernel = Kernel(system)
     spikes, countdown, pending = kernel.spikes, kernel.countdown, kernel.pending
     recurrence = Recurrence(kernel, gate=0)

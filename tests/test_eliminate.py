@@ -29,9 +29,10 @@ from snpkit import (
     env_trajectory,
     generate,
 )
-from snpkit.eliminate import IdAllocator, Provenance, build_gadget, normalize_initial
+from snpkit.cli import main
+from snpkit.eliminate import IdAllocator, build_gadget, normalize_initial
 from snpkit.semantics import Kernel
-from snpkit.textio import parse_system
+from snpkit.textio import parse_system, serialize_system
 
 from .conftest import (
     SYSTEMS_DIR,
@@ -193,35 +194,29 @@ class TestEliminateDelays:
         assert result.target.synapses == system.synapses
         assert result.target.output == system.output
         assert result.added_count == 0
-        assert all(p.copied for p in result.provenance.values())
+        assert result.gadgets == {} and result.feeders == ()
 
     def test_provenance_covers_everything_once(self):
         result = eliminate_delays(generate(Sequential((2, 3))))
-        source_ids = {n.id for n in result.normalized_source.neurons}
-        assert set(result.provenance) == {n.id for n in result.target.neurons}
-        copied = {p.source for p in result.provenance.values() if p.copied}
-        gadget_sources = {p.source for p in result.provenance.values() if not p.copied}
-        assert copied | gadget_sources == source_ids
-        assert copied & gadget_sources == set()
+        source_ids = set(result.normalized_source.ids)
         # one gadget per delayed neuron: d-1 multipliers, a drain, an exit
-        for src, d in (("12", 2), ("13", 3)):
-            parts = [p for p in result.provenance.values() if p.source == src]
-            roles = sorted(p.role for p in parts)
-            assert roles == sorted(["multiplier"] * (d - 1) + ["drain", "exit"])
+        assert result.gadgets == {"12": ("12-1", "12-2", "12-exit"), "13": ("13-1", "13-2", "13-3", "13-exit")}
+        parts = [nid for ids in result.gadgets.values() for nid in ids]
+        copied = source_ids - set(result.gadgets)
+        assert sorted(parts + list(copied)) == sorted(result.target.ids)  # each exactly once
+        assert copied.isdisjoint(parts)
 
     def test_feeder_provenance(self):
         result = eliminate_delays(generate(Iteration(2, "first")))
         assert result.feeders == ("11-in",)
-        prov = result.provenance["11-in"]
-        assert prov.role == "feeder"
-        assert prov.source == "11"
+        source = result.normalized_source
+        assert source.successors[source.index["11-in"]] == (source.index["11"],)
+        assert "11-in" in result.target.ids and "11" in result.gadgets
 
     def test_entry_fanout(self):
         source = generate(Sequential((4,)))
         result = eliminate_delays(source)
-        plan_entries = [
-            nid for nid, p in result.provenance.items() if p.source == "12" and p.role == "multiplier"
-        ]
+        plan_entries = result.gadgets["12"][:-2]  # the multipliers
         rewired = {(a, b) for a, b in result.target.synapses if a == "11"}
         assert rewired == {("11", entry) for entry in plan_entries}
         assert len(rewired) == 3  # max(d-1, 1) for d=4
@@ -237,10 +232,8 @@ class TestEliminateDelays:
         for instance in (Sequential((2, 3)), Join(4), Split(d_left=2, d_right=5), Iteration(3, "first")):
             result = transform_quietly(generate(instance))
             normalized = result.normalized_source
-            back = {
-                tid: (tid if p.copied or p.role == "feeder" else p.source)
-                for tid, p in result.provenance.items()
-            }
+            back = {tid: tid for tid in result.target.ids}
+            back |= {part: src for src, ids in result.gadgets.items() for part in ids}
             synapses = {
                 (back[a], back[b]) for a, b in result.target.synapses if back[a] != back[b]
             }
@@ -285,47 +278,44 @@ class TestEliminateDelays:
 
 
 def eager_provenance(result):
-    """The provenance map built as the rewrite goes, neuron by neuron: the
-    subnet ids come again from ``build_gadget`` with an allocator seeded as
-    the rewrite's."""
+    """The ``transform --provenance`` lines built as the rewrite goes,
+    neuron by neuron: the subnet ids come again from ``build_gadget`` with
+    an allocator seeded as the rewrite's."""
     source = result.normalized_source
     alloc = IdAllocator(source.ids)
-    expected = {}
+    expected = []
     for neuron in source.neurons:
         delayed = [r for r in neuron.rules if r.delayed]
         if not delayed:
             if neuron.id in result.feeders:
                 (fed,) = source.successors[source.index[neuron.id]]
-                expected[neuron.id] = Provenance(source.neurons[fed].id, "feeder")
+                expected.append(f"{neuron.id} <- {source.neurons[fed].id} (feeder)")
             else:
-                expected[neuron.id] = Provenance(neuron.id)
+                expected.append(f"{neuron.id} <- {neuron.id} (copied)")
             continue
         (rule,) = delayed
         neurons, _ = build_gadget(rule.consume, rule.delay, alloc, neuron.id)
         *multipliers, drain, exit_ = (n.id for n in neurons)
         for i, m in enumerate(multipliers, start=1):
-            expected[m] = Provenance(neuron.id, "multiplier", i)
-        expected[drain] = Provenance(neuron.id, "drain")
-        expected[exit_] = Provenance(neuron.id, "exit")
+            expected.append(f"{m} <- {neuron.id} (multiplier {i})")
+        expected.append(f"{drain} <- {neuron.id} (drain)")
+        expected.append(f"{exit_} <- {neuron.id} (exit)")
     return expected
 
 
-def test_provenance_is_built_on_first_read(monkeypatch):
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return Provenance(*args)
-
-    monkeypatch.setattr(eliminate, "Provenance", counted)
-    result = transform_quietly(generate(Iteration(3, "first")))
-    assert made == [] and "provenance" not in result.__dict__
-    provenance = result.provenance
-    assert len(made) == len(result.target.neurons)
-    assert result.provenance is provenance  # built once
+def printed_provenance(path, capsys):
+    """The rewrite of the system at ``path`` and the lines that
+    ``transform --provenance`` prints between its accounting and the
+    target document."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BatchOverlapWarning)
+        result = eliminate_delays(parse_system(path.read_text()))
+        assert main(["transform", str(path), "--provenance"]) == 0
+    head = capsys.readouterr().out.split("\n\n", 1)[0].splitlines()
+    return result, head[4 + len(result.hazards):]
 
 
-def test_provenance_is_the_map_built_as_the_rewrite_goes():
+def test_provenance_is_the_map_built_as_the_rewrite_goes(tmp_path, capsys):
     rng = random.Random(9)
     systems = [generate(instance) for instance in sweep_instances() + iteration_instances()]
     systems += [
@@ -333,10 +323,42 @@ def test_provenance_is_the_map_built_as_the_rewrite_goes():
         for i in range(150)
     ]
     systems += [parse_system(path.read_text()) for path in sorted(SYSTEMS_DIR.glob("*.snp"))]
+    path = tmp_path / "system.snp"
     for system in systems:
-        result = transform_quietly(system)
-        assert list(result.provenance.items()) == list(eager_provenance(result).items())
-        assert list(result.provenance) == list(result.target.ids)
+        path.write_text(serialize_system(system))
+        result, printed = printed_provenance(path, capsys)
+        assert printed == eager_provenance(result)
+        assert [line.split(" <- ")[0] for line in printed] == list(result.target.ids)
+
+
+@pytest.mark.parametrize(
+    "d, subnet",
+    [
+        (1, ["n-1_2 <- n (drain)"]),
+        (2, ["n-1_2 <- n (multiplier 1)", "n-2 <- n (drain)"]),
+        (3, ["n-1_2 <- n (multiplier 1)", "n-2 <- n (multiplier 2)", "n-3 <- n (drain)"]),
+    ],
+)
+def test_provenance_of_ids_that_collide(tmp_path, capsys, d, subnet):
+    # copied neurons hold the names the rewrite would give n's feeder,
+    # first subnet neuron and exit, so those get a _2 suffix
+    path = tmp_path / "collide.snp"
+    path.write_text(
+        f"neuron n spikes=1\nrule n: a+ / a -> a ; {d}\n"
+        + "".join(f"neuron {nid}\nrule {nid}: a+ / a -> a\n" for nid in ("n-1", "n-in", "n-exit"))
+        + "syn n -> n-1\nsyn n-1 -> n-in\nsyn n-in -> n-exit\nout n-exit\n"
+    )
+    result, printed = printed_provenance(path, capsys)
+    assert printed == [
+        "n-in_2 <- n (feeder)",
+        *subnet,
+        "n-exit_2 <- n (exit)",
+        "n-1 <- n-1 (copied)",
+        "n-in <- n-in (copied)",
+        "n-exit <- n-exit (copied)",
+    ]
+    assert printed == eager_provenance(result)
+    assert [line.split(" <- ")[0] for line in printed] == list(result.target.ids)
 
 
 class TestBatchHazards:

@@ -819,6 +819,20 @@ def test_a_negative_budget_is_refused_everywhere_the_kernel_runs():
     ):
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             call()
+    # a malformed system too: the budget is refused before it is validated,
+    # except by a kernel, which validates when it is built
+    malformed = system._replace(synapses=system.synapses | {("3", "ghost")})
+    for call, name in (
+        (lambda: next(frames(malformed, -1)), "max_steps"),
+        (lambda: run(malformed, -1), "max_steps"),
+        (lambda: env_trajectory(malformed, -1), "bound"),
+        (lambda: co_simulate(malformed, malformed, -1), "bound"),
+        (lambda: verify(malformed, -1), "bound"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            call()
+    with pytest.raises(ValidationError, match="names unknown neuron ghost"):
+        Kernel(malformed)
 
 
 def test_source_tie_is_raised_before_an_earlier_target_tie():

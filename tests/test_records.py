@@ -1,4 +1,4 @@
-"""The records: ``Rule`` and ``SpikeRegex`` are slot classes, the other twelve
+"""The records: ``Rule`` and ``SpikeRegex`` are slot classes, the other eleven
 are ``NamedTuple``s.  Each keeps its constructor, field names, defaults,
 validation messages, repr, value equality and hashing, and immutability,
 and survives ``pickle`` and ``copy.deepcopy``."""
@@ -28,7 +28,6 @@ from snpkit import (
     TransformResult,
     Verdict,
 )
-from snpkit.eliminate import Provenance
 
 GUARD = SpikeRegex(((1, 1),))
 RULE = Rule(GUARD, 1)
@@ -50,7 +49,6 @@ RECORDS = [
     ),
     (Configuration, {"states": (STATE,), "environment": 2, "tick": 3}, {"environment": 0, "tick": 0}),
     (Trace, {"configurations": (CONFIG,), "halted": True}, {}),
-    (Provenance, {"source": "a", "role": "multiplier", "index": 2}, {"role": None, "index": 0}),
     (
         TransformResult,
         {
@@ -167,6 +165,13 @@ def test_pickle_and_deepcopy_round_trip(record, fields, defaults):
     value = record(**fields)
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(twin) is record and twin == value and twin is not value
+
+
+def test_only_snp_system_has_an_instance_dict():
+    # it keeps its cached properties there; TransformResult, the other record
+    # with a dict field, is a plain NamedTuple
+    assert [record for record, fields, _ in RECORDS if hasattr(record(**fields), "__dict__")] == [SnpSystem]
+    assert TransformResult.__mro__ == (TransformResult, tuple, object)
 
 
 def test_cached_properties_live_beside_the_fields():
